@@ -20,17 +20,11 @@ use satpg_core::{
 };
 use satpg_engine::{run_engine, EngineConfig};
 use satpg_netlist::{families as nf, Circuit};
-use satpg_serve::{run_fleet, CircuitSpec, FleetConfig, JobSpec, ServeConfig, Server};
-use satpg_stg::synth::complex_gate;
-use satpg_stg::{families as sf, StateGraph};
+use satpg_serve::{
+    family_spec, resolve_circuit, run_fleet, CircuitSpec, FleetConfig, JobSpec, ServeConfig, Server,
+};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn dme_circuit(cells: usize) -> Circuit {
-    let stg = sf::dme_ring(cells).expect("generated ring parses");
-    let sg = StateGraph::build(&stg).expect("generated ring is well-formed");
-    complex_gate(&stg, &sg).expect("generated ring synthesizes")
-}
 
 fn measure(
     label: &str,
@@ -46,12 +40,9 @@ fn measure(
             ..AtpgConfig::default()
         },
         workers,
-        broadcast: true,
         symbolic_audit: false,
-        gc_threshold: None,
         cssg_shards: 1,
-        settle_por: true,
-        settle_cap: None,
+        ..EngineConfig::default()
     };
     // Warm-up, then best-of-`reps` wall clock.  With `reps == 0`
     // (quick mode) the single run doubles as the measurement.
@@ -113,12 +104,9 @@ fn measure_memory(
             ..AtpgConfig::default()
         },
         workers: 2,
-        broadcast: true,
-        symbolic_audit: true,
         gc_threshold,
         cssg_shards: 1,
-        settle_por: true,
-        settle_cap: None,
+        ..EngineConfig::default()
     };
     let out = run_engine(ckt, &cfg).expect("engine runs");
     let peak = out
@@ -388,15 +376,16 @@ fn main() {
     // committed quick baseline (`ci/bench_baseline.json`).
     let quick = quick_mode();
     let mut records: Vec<BenchRecord> = Vec::new();
+    let dme = |cells| resolve_circuit(&family_spec("dme", Some(cells))).expect("DME ring builds");
     let workloads: Vec<(&str, Circuit)> = if quick {
         vec![
-            ("dme_ring3", dme_circuit(3)),
+            ("dme_ring3", dme(3)),
             ("muller_pipe6", nf::muller_pipeline(6)),
             ("arbiter4", nf::arbiter_tree(4)),
         ]
     } else {
         vec![
-            ("dme_ring5", dme_circuit(5)),
+            ("dme_ring5", dme(5)),
             ("muller_pipe8", nf::muller_pipeline(8)),
             ("arbiter5", nf::arbiter_tree(5)),
         ]

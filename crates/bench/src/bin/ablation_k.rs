@@ -2,8 +2,8 @@
 //! bound `k` (§4.1).  Short test cycles prune slow-settling vectors,
 //! shrinking the CSSG and with it the achievable fault coverage.
 
-use satpg_bench::{synthesize, Style};
 use satpg_core::{build_cssg, run_atpg, AtpgConfig, CssgConfig};
+use satpg_serve::{resolve_circuit, CircuitSpec};
 
 fn main() {
     let circuits = ["chu150", "master-read", "alloc-outbound", "vbe6a"];
@@ -13,7 +13,11 @@ fn main() {
         "example", "k", "states", "edges", "in cov", "in tot"
     );
     for name in circuits {
-        let ckt = synthesize(name, Style::SpeedIndependent);
+        let ckt = resolve_circuit(&CircuitSpec::Bench {
+            name: name.to_string(),
+            style: "si".to_string(),
+        })
+        .expect("suite benchmarks synthesize");
         let default_k = 4 * ckt.num_gates() + 4;
         for k in [2, 4, 8, 16, default_k] {
             let cfg = CssgConfig {

@@ -4,8 +4,7 @@
 //! untestable faults, lowering coverage and raising ATPG effort.
 
 use satpg_core::{run_atpg, AtpgConfig};
-use satpg_stg::synth::{two_level, Redundancy};
-use satpg_stg::{suite, StateGraph};
+use satpg_serve::{resolve_circuit, CircuitSpec};
 
 fn main() {
     println!("ablation: two-level synthesis with vs without redundant hazard covers");
@@ -14,13 +13,12 @@ fn main() {
         "example", "redundancy", "in tot", "in cov", "unt", "cover %", "CPU(us)"
     );
     for name in ["trimos-send", "vbe10b", "vbe6a"] {
-        let stg = suite::load(name).unwrap();
-        let sg = StateGraph::build(&stg).unwrap();
-        for (label, red) in [
-            ("minimal", Redundancy::None),
-            ("all-primes", Redundancy::AllPrimes),
-        ] {
-            let ckt = two_level(&stg, &sg, red).unwrap();
+        for (label, style) in [("minimal", "2l"), ("all-primes", "2lr")] {
+            let ckt = resolve_circuit(&CircuitSpec::Bench {
+                name: name.to_string(),
+                style: style.to_string(),
+            })
+            .unwrap();
             let r = run_atpg(&ckt, &AtpgConfig::paper()).unwrap();
             println!(
                 "{:<14} {:>10} {:>7} {:>7} {:>5} {:>8.2}% {:>9}",

@@ -1,98 +1,12 @@
-//! Benchmark harness: regenerates the paper's Tables 1 and 2 and hosts
-//! the Criterion micro-benchmarks.
+//! Benchmark harness: ablations and the engine scaling bench.
 //!
-//! * `cargo run -p satpg-bench --release --bin table1` — Table 1
-//!   (speed-independent complex-gate circuits, Petrify stand-in);
-//! * `cargo run -p satpg-bench --release --bin table2` — Table 2
-//!   (bounded-delay two-level circuits with hazard-cover redundancy for
-//!   `trimos-send`/`vbe10b`/`vbe6a`, SIS stand-in);
+//! * `satpg table 1` / `satpg table 2` — the paper's Tables 1 and 2;
 //! * `cargo run -p satpg-bench --release --bin ablation_k` — sensitivity
 //!   of the CSSG to the test-cycle bound `k` (§4.1);
-//! * `cargo bench` — Criterion benches for the substrates.
+//! * `cargo run -p satpg-bench --release --bin ablation_redundancy` —
+//!   the coverage cost of redundant hazard covers (the Table 2 story);
+//! * `cargo bench -p satpg-bench --bench engine_scaling` — engine,
+//!   CSSG, settler, random-stage and fleet scaling records in
+//!   `target/bench_report.json` ([`report`]).
 
 pub mod report;
-
-use satpg_core::report::TableRow;
-use satpg_core::{run_atpg, AtpgConfig, AtpgReport, FaultModel};
-use satpg_netlist::Circuit;
-use satpg_stg::synth::{complex_gate, two_level, Redundancy};
-use satpg_stg::{suite, StateGraph};
-
-/// Which synthesis backend to benchmark (the two tables).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Style {
-    /// Complex-gate speed-independent netlists (Table 1).
-    SpeedIndependent,
-    /// Two-level bounded-delay netlists; the three designated circuits
-    /// get redundant hazard covers (Table 2).
-    BoundedDelay,
-}
-
-/// Synthesizes one suite benchmark in the given style.
-///
-/// # Panics
-///
-/// Panics if the bundled benchmark fails to synthesize (a bug, covered by
-/// the suite's own tests).
-pub fn synthesize(name: &str, style: Style) -> Circuit {
-    let stg = suite::load(name).expect("known benchmark");
-    let sg = StateGraph::build(&stg).expect("suite specs are well-formed");
-    match style {
-        Style::SpeedIndependent => complex_gate(&stg, &sg).expect("synthesizable"),
-        Style::BoundedDelay => {
-            let red = if suite::is_redundant(name) {
-                Redundancy::AllPrimes
-            } else {
-                Redundancy::None
-            };
-            two_level(&stg, &sg, red).expect("synthesizable")
-        }
-    }
-}
-
-/// Runs both fault-model campaigns on one benchmark and returns
-/// `(output-model report, input-model report)`.
-pub fn run_benchmark(name: &str, style: Style) -> (AtpgReport, AtpgReport) {
-    let ckt = synthesize(name, style);
-    let input = run_atpg(&ckt, &AtpgConfig::paper()).expect("ATPG runs");
-    let output = run_atpg(
-        &ckt,
-        &AtpgConfig {
-            fault_model: FaultModel::OutputStuckAt,
-            ..AtpgConfig::paper()
-        },
-    )
-    .expect("ATPG runs");
-    (output, input)
-}
-
-/// Builds one table row for a benchmark.
-pub fn row(name: &str, style: Style) -> TableRow {
-    let (output, input) = run_benchmark(name, style);
-    TableRow::new(name, &output, &input)
-}
-
-/// All rows of a table, in the paper's order.
-pub fn table_rows(style: Style) -> Vec<TableRow> {
-    suite::NAMES.iter().map(|&n| row(n, style)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn synthesize_both_styles() {
-        let si = synthesize("converta", Style::SpeedIndependent);
-        let bd = synthesize("converta", Style::BoundedDelay);
-        assert!(bd.num_gates() >= si.num_gates());
-    }
-
-    #[test]
-    fn one_row_has_consistent_columns() {
-        let r = row("converta", Style::SpeedIndependent);
-        assert_eq!(r.rnd + r.ph3 + r.sim, r.input_cov);
-        assert!(r.input_tot >= r.output_tot);
-        assert_eq!(r.output_cov, r.output_tot, "SI: 100% output stuck-at");
-    }
-}

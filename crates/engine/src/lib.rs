@@ -14,6 +14,10 @@
 //! * a test found by one worker is **broadcast**: other workers
 //!   fault-simulate it against their pending faults and drop the ones it
 //!   already covers, skipping their three-phase searches;
+//! * every worker runs the one [`ShardExecutor`] loop (screen → pop →
+//!   search → emit), the same loop a fleet peer daemon runs on a remote
+//!   shard; [`screened`] is the one home of the screening rule
+//!   (`cb > ca` and the test detects `cb`) both depend on;
 //! * results are merged by a **deterministic serial replay** over the
 //!   resumable stages of [`satpg_core::stages`], so the final
 //!   [`EngineReport`] carries fault records and tests *identical* to the
@@ -45,7 +49,7 @@ mod run;
 pub mod shard;
 
 pub use run::{
-    merge_partial, prepare_campaign, reports_identical, run_engine, run_engine_on,
-    run_engine_on_streaming, run_engine_streaming, Campaign, EngineConfig, EngineEvent,
-    EngineReport, EngineSink, NullSink, PartialMerge, WorkerStats,
+    merge_partial, prepare_campaign, reports_identical, run_engine, run_engine_built, Campaign,
+    EngineConfig, EngineEvent, EngineReport, EngineSink, NullSink, PartialMerge, WorkerStats,
 };
+pub use shard::{screened, ShardExecutor, ShardFeed};

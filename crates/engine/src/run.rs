@@ -1,12 +1,11 @@
 //! The engine driver: shard → search in parallel → deterministic merge.
 
-use crate::audit::WalkAuditor;
-use crate::shard::{Popped, ShardedQueues};
+use crate::shard::{Popped, ShardExecutor, ShardFeed, ShardedQueues};
 use satpg_core::json::Json;
 use satpg_core::stages::{random_stage, targeted_stage, FaultPlan, StageState};
 use satpg_core::{
-    build_cssg_sharded, faults_for, three_phase, three_phase_traced, AtpgConfig, AtpgReport,
-    CapPolicy, CoreError, Cssg, Fault, FaultStatus, TestSequence,
+    build_cssg_sharded, faults_for, three_phase, AtpgConfig, AtpgReport, CoreError, Cssg, Fault,
+    FaultStatus, TestSequence,
 };
 use satpg_netlist::Circuit;
 use std::sync::{OnceLock, RwLock};
@@ -34,9 +33,6 @@ pub enum EngineEvent {
         /// Successor branches the partial-order reduction pruned
         /// (0 with POR off — the explored-vs-saved ledger).
         por_pruned: u64,
-        /// Construction threads used (1 for a serial build; also 1 on a
-        /// cache hit, where nothing was built).
-        shards: usize,
         /// Microseconds spent constructing (0 on a cache hit).
         us: u128,
     },
@@ -121,15 +117,6 @@ pub struct EngineConfig {
     /// parallel; any value yields a CSSG structurally identical to the
     /// serial build (the `--cssg-shards` CLI flag).
     pub cssg_shards: usize,
-    /// Partial-order reduction inside every settling analysis (CSSG
-    /// construction and the workers' faulty-machine settles).  `false`
-    /// forces the naive walks regardless of the nested `atpg` config
-    /// (the `--no-por` CLI flag).
-    pub settle_por: bool,
-    /// Override for the settle-set cap policy of both layers; `None`
-    /// keeps the nested `atpg` config's policies (the `--settle-cap`
-    /// CLI flag).
-    pub settle_cap: Option<CapPolicy>,
 }
 
 impl Default for EngineConfig {
@@ -141,8 +128,6 @@ impl Default for EngineConfig {
             symbolic_audit: true,
             gc_threshold: None,
             cssg_shards: 0,
-            settle_por: true,
-            settle_cap: None,
         }
     }
 }
@@ -180,22 +165,6 @@ impl EngineConfig {
         } else {
             self.cssg_shards
         }
-    }
-
-    /// The campaign with the settle overrides folded into the nested
-    /// flow configuration, so the CSSG build, the workers and the merge
-    /// all see one consistent settling policy.
-    fn normalized(&self) -> EngineConfig {
-        let mut cfg = self.clone();
-        if !cfg.settle_por {
-            cfg.atpg.cssg.por = false;
-            cfg.atpg.three_phase.por = false;
-        }
-        if let Some(cap) = cfg.settle_cap {
-            cfg.atpg.cssg.settle_cap = cap;
-            cfg.atpg.three_phase.settle_cap = cap;
-        }
-        cfg
     }
 }
 
@@ -457,81 +426,42 @@ pub fn merge_partial(
     }
 }
 
-/// Runs the fault-parallel campaign on `ckt`.
+/// Runs the fault-parallel campaign on `ckt`: builds the CSSG on
+/// [`EngineConfig::build_shards`] threads, then runs
+/// [`run_engine_built`] without telemetry.
 ///
 /// # Errors
 ///
 /// Same conditions as [`satpg_core::run_atpg`]: CSSG construction
 /// failures or an abstraction with no valid vectors.
 pub fn run_engine(ckt: &Circuit, cfg: &EngineConfig) -> Result<EngineReport, CoreError> {
-    run_engine_streaming(ckt, cfg, &NullSink)
-}
-
-/// [`run_engine`] with incremental telemetry delivered to `sink`.
-///
-/// # Errors
-///
-/// Same conditions as [`run_engine`].
-pub fn run_engine_streaming(
-    ckt: &Circuit,
-    cfg: &EngineConfig,
-    sink: &dyn EngineSink,
-) -> Result<EngineReport, CoreError> {
-    let cfg = &cfg.normalized();
-    let shards = cfg.build_shards();
     let _span = satpg_trace::span!(
         "engine.run",
         circuit = ckt.name(),
         workers = cfg.requested_workers()
     );
     let t0 = Instant::now();
-    let cssg = build_cssg_sharded(ckt, &cfg.atpg.cssg, shards)?;
+    let cssg = build_cssg_sharded(ckt, &cfg.atpg.cssg, cfg.build_shards())?;
     let us_cssg = t0.elapsed().as_micros();
     if cssg.num_edges() == 0 {
         return Err(CoreError::NoValidVectors);
     }
     let faults = faults_for(ckt, cfg.atpg.fault_model);
     Ok(run_engine_built(
-        ckt, &cssg, &faults, cfg, us_cssg, shards, sink,
+        ckt, &cssg, &faults, cfg, us_cssg, &NullSink,
     ))
 }
 
-/// Runs the campaign against an explicit fault list and prebuilt CSSG
-/// (the injectable-queue entry point).
-pub fn run_engine_on(
+/// Runs the campaign against an explicit fault list and a prebuilt CSSG,
+/// delivering incremental telemetry to `sink`.  `us_cssg` is the
+/// construction time to attribute to the abstraction (0 when it came
+/// from a cache).
+pub fn run_engine_built(
     ckt: &Circuit,
     cssg: &Cssg,
     faults: &[Fault],
     cfg: &EngineConfig,
     us_cssg: u128,
-) -> EngineReport {
-    run_engine_on_streaming(ckt, cssg, faults, cfg, us_cssg, &NullSink)
-}
-
-/// [`run_engine_on`] with incremental telemetry delivered to `sink`.
-/// `us_cssg` is the construction time to attribute to the abstraction
-/// (pass 0 when it came from a cache).
-pub fn run_engine_on_streaming(
-    ckt: &Circuit,
-    cssg: &Cssg,
-    faults: &[Fault],
-    cfg: &EngineConfig,
-    us_cssg: u128,
-    sink: &dyn EngineSink,
-) -> EngineReport {
-    run_engine_built(ckt, cssg, faults, &cfg.normalized(), us_cssg, 1, sink)
-}
-
-/// The campaign body: `cssg_shards` records how many threads built the
-/// supplied abstraction (1 when prebuilt or cache-served) for the
-/// [`EngineEvent::CssgReady`] telemetry.
-fn run_engine_built(
-    ckt: &Circuit,
-    cssg: &Cssg,
-    faults: &[Fault],
-    cfg: &EngineConfig,
-    us_cssg: u128,
-    cssg_shards: usize,
     sink: &dyn EngineSink,
 ) -> EngineReport {
     sink.event(EngineEvent::CssgReady {
@@ -540,7 +470,6 @@ fn run_engine_built(
         truncated: cssg.pruned_truncated(),
         settle_states: cssg.settle_stats().states_explored,
         por_pruned: cssg.settle_stats().por_pruned,
-        shards: cssg_shards,
         us: us_cssg,
     });
     // --- Stage 1: random TPG (serial; it is cheap, deterministic and
@@ -581,23 +510,36 @@ fn run_engine_built(
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let queues = &queues;
-                    let outcomes = &outcomes;
-                    let broadcasts = &broadcasts;
-                    let plan = &plan;
+                    let mut feed = WorkerFeed {
+                        worker: w,
+                        queues: &queues,
+                        broadcasts: &broadcasts,
+                        seen: 0,
+                        // Broadcasting only pays off when the merge can
+                        // harvest the skipped classes as fault-sim
+                        // credits; with fault_sim off every drop would
+                        // serialize a recomputation instead.
+                        publish: cfg.broadcast && cfg.atpg.fault_sim,
+                        outcomes: &outcomes,
+                        sink,
+                    };
+                    let executor = ShardExecutor::new(ckt, cssg, &plan, &cfg.atpg, w);
+                    let executor = if cfg.symbolic_audit {
+                        executor.with_audit(cfg.gc_threshold)
+                    } else {
+                        executor
+                    };
                     scope.spawn(move || {
-                        let stats = worker_loop(
-                            ckt,
-                            cssg,
-                            plan,
-                            cfg,
-                            w,
-                            queues,
-                            outcomes,
-                            broadcasts,
-                            sink,
+                        // The worker's span parents under the parallel
+                        // stage explicitly (the stage span lives on the
+                        // spawning thread's stack, not ours).
+                        let span = satpg_trace::Span::enter_with_parent(
+                            "worker",
                             parallel_span_id,
+                            vec![("worker", satpg_trace::ArgValue::from(w))],
                         );
+                        let stats = executor.run(&mut feed);
+                        drop(span);
                         sink.event(EngineEvent::WorkerDone {
                             stats: stats.clone(),
                         });
@@ -694,110 +636,53 @@ fn flush_engine_metrics(
         .record(us_merge.min(u64::MAX as u128) as u64);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    ckt: &Circuit,
-    cssg: &Cssg,
-    plan: &FaultPlan,
-    cfg: &EngineConfig,
-    w: usize,
-    queues: &ShardedQueues,
-    outcomes: &[OnceLock<FaultStatus>],
-    broadcasts: &RwLock<Vec<(usize, TestSequence)>>,
-    sink: &dyn EngineSink,
-    parent_span: u64,
-) -> WorkerStats {
-    let t0 = Instant::now();
-    // The worker's span parents under the parallel stage explicitly
-    // (the stage span lives on the spawning thread's stack, not ours).
-    let _span = satpg_trace::Span::enter_with_parent(
-        "worker",
-        parent_span,
-        vec![("worker", satpg_trace::ArgValue::from(w))],
-    );
-    let mut stats = WorkerStats {
-        worker: w,
-        ..WorkerStats::default()
-    };
-    let mut auditor = cfg
-        .symbolic_audit
-        .then(|| WalkAuditor::with_gc(cssg, cfg.gc_threshold));
-    let mut seen_broadcasts = 0usize;
-    // Broadcasting only pays off when the merge can harvest the skipped
-    // classes as fault-sim credits; with fault_sim off every drop would
-    // serialize a recomputation instead.
-    let broadcast = cfg.broadcast && cfg.atpg.fault_sim;
+/// A worker's feed: its own deque (stealing when it runs dry), the
+/// campaign's broadcast log, and the verdict slots the merge reads.
+struct WorkerFeed<'a> {
+    worker: usize,
+    queues: &'a ShardedQueues,
+    broadcasts: &'a RwLock<Vec<(usize, TestSequence)>>,
+    /// Cursor into the append-only broadcast log.
+    seen: usize,
+    /// Whether found tests join the broadcast log.
+    publish: bool,
+    outcomes: &'a [OnceLock<FaultStatus>],
+    sink: &'a dyn EngineSink,
+}
 
-    while let Some(popped) = queues.pop(w) {
-        // Screen the backlog against tests found elsewhere since the
-        // last check.  Only classes *after* the broadcaster in serial
-        // order are dropped: those are the ones the serial flow would
-        // also have resolved by fault simulation, so the merge will not
-        // need to re-search them.
-        if broadcast {
-            let log = broadcasts.read().expect("broadcast lock");
-            let fresh: Vec<(usize, TestSequence)> = log[seen_broadcasts..].to_vec();
-            seen_broadcasts = log.len();
-            drop(log);
-            for (ca, test) in fresh {
-                stats.broadcast_drops += queues.drop_pending(w, |backlog| {
-                    let candidates: Vec<usize> =
-                        backlog.iter().copied().filter(|&cb| cb > ca).collect();
-                    let cand_faults: Vec<Fault> = candidates
-                        .iter()
-                        .map(|&cb| plan.classes()[cb].representative)
-                        .collect();
-                    satpg_core::fault_simulate(ckt, cssg, &test, &cand_faults)
-                        .into_iter()
-                        .map(|hit| candidates[hit])
-                        .collect()
-                });
-            }
-        }
+impl ShardFeed for WorkerFeed<'_> {
+    fn fresh_tests(&mut self) -> Vec<(usize, TestSequence)> {
+        let log = self.broadcasts.read().expect("broadcast lock");
+        let fresh = log[self.seen..].to_vec();
+        self.seen = log.len();
+        fresh
+    }
 
-        let ci = popped.item();
-        if matches!(popped, Popped::Stolen { .. }) {
-            stats.stolen += 1;
-        }
-        let fault = plan.classes()[ci].representative;
-        let (verdict, settle) = three_phase_traced(ckt, cssg, &fault, &cfg.atpg.three_phase);
-        stats.settle_states += settle.states_explored;
-        stats.settle_por_pruned += settle.por_pruned;
-        stats.settle_fallbacks += settle.fallbacks;
-        stats.searched += 1;
+    fn drop_pending(&mut self, doomed: &mut dyn FnMut(&[usize]) -> Vec<usize>) -> usize {
+        self.queues.drop_pending(self.worker, doomed)
+    }
+
+    fn pop(&mut self) -> Option<Popped> {
+        self.queues.pop(self.worker)
+    }
+
+    fn emit(&mut self, class: usize, verdict: FaultStatus) {
         if let FaultStatus::Detected { sequence } = &verdict {
-            stats.tests_found += 1;
-            sink.event(EngineEvent::TestFound {
-                worker: w,
-                class: ci,
+            self.sink.event(EngineEvent::TestFound {
+                worker: self.worker,
+                class,
                 cycles: sequence.len(),
             });
-            if let Some(aud) = auditor.as_mut() {
-                if !aud.check(sequence) {
-                    stats.audit_failures += 1;
-                }
-            }
-            if broadcast {
-                broadcasts
+            if self.publish {
+                self.broadcasts
                     .write()
                     .expect("broadcast lock")
-                    .push((ci, sequence.clone()));
+                    .push((class, sequence.clone()));
             }
         }
         // First write wins; each class is processed at most once anyway.
-        let _ = outcomes[ci].set(verdict);
+        let _ = self.outcomes[class].set(verdict);
     }
-
-    if let Some(aud) = auditor {
-        stats.bdd_nodes = aud.num_nodes();
-        stats.bdd_cache = aud.cache_len();
-        stats.bdd_cache_clears = aud.cache_clears;
-        stats.bdd_gc_runs = aud.gc_runs();
-        stats.bdd_reclaimed = aud.reclaimed_nodes();
-        stats.bdd_peak_unique = aud.peak_unique();
-    }
-    stats.us_busy = t0.elapsed().as_micros();
-    stats
 }
 
 /// Convenience: checks whether an engine report is verdict-identical to a
@@ -925,7 +810,9 @@ mod tests {
             ..EngineConfig::paper()
         };
         let sink = Collect(Mutex::new(Vec::new()));
-        let out = run_engine_streaming(&ckt, &cfg, &sink).unwrap();
+        let cssg = build_cssg_sharded(&ckt, &cfg.atpg.cssg, cfg.build_shards()).unwrap();
+        let faults = faults_for(&ckt, cfg.atpg.fault_model);
+        let out = run_engine_built(&ckt, &cssg, &faults, &cfg, 0, &sink);
         let events = sink.0.into_inner().unwrap();
 
         // Stage transitions appear exactly once, in order.
@@ -941,16 +828,9 @@ mod tests {
             .collect();
         assert_eq!(stage_order, ["cssg", "random", "parallel", "merge"]);
         match events.first() {
-            Some(EngineEvent::CssgReady {
-                states,
-                edges,
-                shards,
-                ..
-            }) => {
+            Some(EngineEvent::CssgReady { states, edges, .. }) => {
                 assert_eq!(*states, out.report.cssg_states);
                 assert_eq!(*edges, out.report.cssg_edges);
-                // cssg_shards defaults to the worker count.
-                assert_eq!(*shards, 2, "build fan-out follows the workers");
             }
             other => panic!("expected CssgReady first, got {other:?}"),
         }

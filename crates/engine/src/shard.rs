@@ -1,4 +1,5 @@
-//! Per-worker fault deques with work stealing.
+//! Shard execution: per-worker fault deques with work stealing, and the
+//! one loop that turns a shard's classes into verdicts.
 //!
 //! Each worker owns the front of its deque; idle workers steal from the
 //! *back* of a victim's deque, so an owner and a thief contend only when
@@ -7,9 +8,19 @@
 //! (Built on `std::sync::Mutex` because the workspace is dependency-free;
 //! the deques are coarse-grained but the unit of work — a three-phase
 //! search — dwarfs the lock cost.)
+//!
+//! [`ShardExecutor`] is the screen → pop → search → emit loop shared by
+//! the engine's workers and the fleet's peer daemons; [`screened`] is
+//! the one home of the screening rule both rely on.
 
+use crate::audit::WalkAuditor;
+use crate::run::WorkerStats;
+use satpg_core::stages::FaultPlan;
+use satpg_core::{fault_simulate, three_phase_traced, AtpgConfig, Cssg, FaultStatus, TestSequence};
+use satpg_netlist::Circuit;
 use std::collections::VecDeque;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// The sharded queues of one engine run.
 pub struct ShardedQueues {
@@ -87,7 +98,11 @@ impl ShardedQueues {
     /// Removes every pending item that `drop_if` approves from `worker`'s
     /// own deque, returning how many were removed.  This is the broadcast
     /// path: a test found elsewhere screens this worker's backlog.
-    pub fn drop_pending(&self, worker: usize, drop_if: impl Fn(&[usize]) -> Vec<usize>) -> usize {
+    pub fn drop_pending(
+        &self,
+        worker: usize,
+        drop_if: impl FnOnce(&[usize]) -> Vec<usize>,
+    ) -> usize {
         let mut q = self.queues[worker].lock().expect("queue lock");
         let snapshot: Vec<usize> = q.iter().copied().collect();
         if snapshot.is_empty() {
@@ -103,28 +118,151 @@ impl ShardedQueues {
     }
 }
 
-/// Splits `pending` into at most `units` contiguous chunks of
-/// near-equal size, preserving order.  This is the distribution shape a
-/// fleet coordinator ships across daemons: contiguous runs keep each
-/// remote shard's classes adjacent in serial order, so a broadcast from
-/// class `ca` screens whole shards of later classes at once.  Purely a
-/// function of its inputs — any two coordinators plan identical shards.
-pub fn plan_shards(pending: &[usize], units: usize) -> Vec<Vec<usize>> {
-    assert!(units > 0, "at least one shard");
-    if pending.is_empty() {
+/// The classes of `pending` that `test`, found by the search of class
+/// `ca`, screens out: those after `ca` in serial order that it detects.
+/// Those are the classes the serial flow would also have resolved by
+/// fault simulation, so the merge credits them without re-searching.
+/// This is the only place the rule lives; one [`fault_simulate`] call
+/// replays `test` once per 63 candidates.
+pub fn screened(
+    ckt: &Circuit,
+    cssg: &Cssg,
+    plan: &FaultPlan,
+    ca: usize,
+    test: &TestSequence,
+    pending: &[usize],
+) -> Vec<usize> {
+    let candidates: Vec<usize> = pending.iter().copied().filter(|&cb| cb > ca).collect();
+    if candidates.is_empty() {
         return Vec::new();
     }
-    let units = units.min(pending.len());
-    let base = pending.len() / units;
-    let extra = pending.len() % units;
-    let mut out = Vec::with_capacity(units);
-    let mut at = 0usize;
-    for i in 0..units {
-        let take = base + usize::from(i < extra);
-        out.push(pending[at..at + take].to_vec());
-        at += take;
+    let faults: Vec<_> = candidates
+        .iter()
+        .map(|&cb| plan.classes()[cb].representative)
+        .collect();
+    fault_simulate(ckt, cssg, test, &faults)
+        .into_iter()
+        .map(|hit| candidates[hit])
+        .collect()
+}
+
+/// Where a [`ShardExecutor`] gets its classes and tests, and where its
+/// verdicts go.  An engine worker feeds it from its [`ShardedQueues`]
+/// deque and the campaign's broadcast log; a fleet peer feeds it one
+/// shard's classes and the tests the coordinator relays.
+pub trait ShardFeed {
+    /// Tests published since the last call, as `(class, test)` pairs:
+    /// the class whose search found the test, and the test.
+    fn fresh_tests(&mut self) -> Vec<(usize, TestSequence)>;
+    /// Removes the pending classes `doomed` picks from the snapshot it
+    /// is handed; returns how many were removed.
+    fn drop_pending(&mut self, doomed: &mut dyn FnMut(&[usize]) -> Vec<usize>) -> usize;
+    /// The next class to search; `None` ends the run.
+    fn pop(&mut self) -> Option<Popped>;
+    /// Takes the verdict of `class`.
+    fn emit(&mut self, class: usize, verdict: FaultStatus);
+}
+
+/// Runs a shard: screens the pending classes against tests not seen
+/// yet, pops the next class, searches it with the three-phase search,
+/// audits a found test when configured, and emits the verdict — until
+/// the feed runs dry.
+pub struct ShardExecutor<'a> {
+    ckt: &'a Circuit,
+    cssg: &'a Cssg,
+    plan: &'a FaultPlan,
+    cfg: &'a AtpgConfig,
+    /// Whether to audit found tests, and the auditor's GC policy.
+    audit: bool,
+    gc_threshold: Option<usize>,
+    stats: WorkerStats,
+}
+
+impl<'a> ShardExecutor<'a> {
+    /// An executor without the symbolic audit; `worker` labels its
+    /// telemetry.
+    pub fn new(
+        ckt: &'a Circuit,
+        cssg: &'a Cssg,
+        plan: &'a FaultPlan,
+        cfg: &'a AtpgConfig,
+        worker: usize,
+    ) -> Self {
+        ShardExecutor {
+            ckt,
+            cssg,
+            plan,
+            cfg,
+            audit: false,
+            gc_threshold: None,
+            stats: WorkerStats {
+                worker,
+                ..WorkerStats::default()
+            },
+        }
     }
-    out
+
+    /// Audits every found test on a private BDD manager under the given
+    /// GC policy (see [`WalkAuditor::with_gc`]).  The manager is built
+    /// when [`ShardExecutor::run`] starts, on the running thread.
+    pub fn with_audit(mut self, gc_threshold: Option<usize>) -> Self {
+        self.audit = true;
+        self.gc_threshold = gc_threshold;
+        self
+    }
+
+    /// Drains `feed` and returns the telemetry: `searched` counts the
+    /// verdicts emitted, `broadcast_drops` the classes screened out.
+    pub fn run(mut self, feed: &mut dyn ShardFeed) -> WorkerStats {
+        let t0 = Instant::now();
+        let (ckt, cssg, plan) = (self.ckt, self.cssg, self.plan);
+        let mut auditor = self
+            .audit
+            .then(|| WalkAuditor::with_gc(cssg, self.gc_threshold));
+        loop {
+            // A drop is only sound when the flow fault-simulates found
+            // tests: that is how the merge credits the dropped class.
+            if self.cfg.fault_sim {
+                for (ca, test) in feed.fresh_tests() {
+                    let dropped = feed
+                        .drop_pending(&mut |pending| screened(ckt, cssg, plan, ca, &test, pending));
+                    self.stats.broadcast_drops += dropped;
+                }
+            }
+            let Some(popped) = feed.pop() else {
+                break;
+            };
+            if matches!(popped, Popped::Stolen { .. }) {
+                self.stats.stolen += 1;
+            }
+            let ci = popped.item();
+            let fault = plan.classes()[ci].representative;
+            let (verdict, settle) = three_phase_traced(ckt, cssg, &fault, &self.cfg.three_phase);
+            self.stats.settle_states += settle.states_explored;
+            self.stats.settle_por_pruned += settle.por_pruned;
+            self.stats.settle_fallbacks += settle.fallbacks;
+            self.stats.searched += 1;
+            if let FaultStatus::Detected { sequence } = &verdict {
+                self.stats.tests_found += 1;
+                if let Some(aud) = auditor.as_mut() {
+                    if !aud.check(sequence) {
+                        self.stats.audit_failures += 1;
+                    }
+                }
+            }
+            feed.emit(ci, verdict);
+        }
+        if let Some(aud) = &auditor {
+            self.stats.bdd_nodes = aud.num_nodes();
+            self.stats.bdd_cache = aud.cache_len();
+            self.stats.bdd_cache_clears = aud.cache_clears;
+            self.stats.bdd_gc_runs = aud.gc_runs();
+            self.stats.bdd_reclaimed = aud.reclaimed_nodes();
+            self.stats.bdd_peak_unique = aud.peak_unique();
+        }
+        self.stats.us_busy = t0.elapsed().as_micros();
+        self.stats
+    }
 }
 
 #[cfg(test)]
@@ -179,22 +317,51 @@ mod tests {
         assert_eq!(left, vec![11, 13]);
     }
 
+    /// The batched screen (one replay per 63 candidates) drops exactly
+    /// the classes one-fault-at-a-time simulation with `cb > ca` drops,
+    /// over backlogs long enough to span several replays.
     #[test]
-    fn plan_shards_is_contiguous_and_complete() {
-        let pending: Vec<usize> = (3..20).collect();
-        for units in 1..=6 {
-            let shards = plan_shards(&pending, units);
-            assert!(shards.len() <= units);
-            let flat: Vec<usize> = shards.iter().flatten().copied().collect();
-            assert_eq!(flat, pending, "{units} units must cover in order");
-            let (min, max) = shards
-                .iter()
-                .map(|s| s.len())
-                .fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
-            assert!(max - min <= 1, "{units} units must balance");
+    fn batched_screen_matches_per_class_simulation() {
+        use satpg_core::{build_cssg, faults_for, run_atpg_on, AtpgConfig, CssgConfig, FaultModel};
+        use satpg_netlist::families::{arbiter_tree, muller_pipeline};
+        let both = |ckt: &Circuit| {
+            let mut f = faults_for(ckt, FaultModel::InputStuckAt);
+            f.extend(faults_for(ckt, FaultModel::OutputStuckAt));
+            f
+        };
+        let muller = muller_pipeline(12);
+        let arbiter = arbiter_tree(6);
+        // Arbiter-6 has 58 faults across both models; listed twice they
+        // make a 116-class backlog (a repeated fault screens like its
+        // twin) without the cost of a wider arbiter's CSSG.
+        let arbiter_faults = [both(&arbiter), both(&arbiter)].concat();
+        for (ckt, faults) in [(&muller, both(&muller)), (&arbiter, arbiter_faults)] {
+            let cssg = build_cssg(ckt, &CssgConfig::default()).unwrap();
+            let plan = FaultPlan::new(ckt, &faults, false);
+            let pending: Vec<usize> = (0..plan.len()).collect();
+            let cfg = AtpgConfig::scaled(ckt);
+            let tests = run_atpg_on(ckt, &cssg, &faults_for(ckt, cfg.fault_model), &cfg, 0)
+                .unwrap()
+                .tests;
+            let mut drops = 0;
+            for (ti, test) in tests.iter().enumerate() {
+                for ca in [0, ti, plan.len() / 3] {
+                    let expected: Vec<usize> = pending
+                        .iter()
+                        .copied()
+                        .filter(|&cb| {
+                            let rep = plan.classes()[cb].representative;
+                            cb > ca && !fault_simulate(ckt, &cssg, test, &[rep]).is_empty()
+                        })
+                        .collect();
+                    let got = screened(ckt, &cssg, &plan, ca, test, &pending);
+                    assert_eq!(got, expected, "{} test {ti} after class {ca}", ckt.name());
+                    drops += got.len();
+                }
+            }
+            assert!(plan.len() > 64, "{}: {} classes", ckt.name(), plan.len());
+            assert!(drops > 0, "{}: the screen must drop something", ckt.name());
         }
-        assert!(plan_shards(&[], 4).is_empty());
-        assert_eq!(plan_shards(&[7], 4), vec![vec![7]]);
     }
 
     #[test]

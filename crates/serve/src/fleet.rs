@@ -10,8 +10,8 @@
 //!   carrying contiguous runs of serial class indices;
 //! * peers stream back one `shard_verdict` per class; a `Detected`
 //!   verdict is relayed to every other busy peer as a `broadcast`, so
-//!   remote workers drop classes the test already covers (the engine
-//!   worker's own screening rule);
+//!   remote workers drop classes the test already covers (peers run the
+//!   engine's `ShardExecutor`, so they screen by the workers' own rule);
 //! * a peer that dies, stalls past the timeout, or replies garbage is
 //!   declared lost: its unfinished classes requeue for the survivors and
 //!   a bounded-backoff reviver tries to reconnect it.

@@ -7,68 +7,109 @@ use crate::proto::{CircuitSpec, JobSpec};
 use satpg_core::{AtpgConfig, CssgConfig, FaultModel, RandomTpgConfig, ThreePhaseConfig};
 use satpg_netlist::{parse_ckt, Circuit};
 use satpg_stg::synth::{complex_gate, two_level, Redundancy};
-use satpg_stg::{parse_g, suite, StateGraph, Stg};
+use satpg_stg::{parse_g, suite, StateGraph};
+use std::ops::RangeInclusive;
 
-fn synth(stg: &Stg, style: &str) -> Result<Circuit, String> {
-    let sg = StateGraph::build(stg).map_err(|e| e.to_string())?;
-    match style {
-        "si" => complex_gate(stg, &sg).map_err(|e| e.to_string()),
-        "2l" => two_level(stg, &sg, Redundancy::None).map_err(|e| e.to_string()),
-        "2lr" => two_level(stg, &sg, Redundancy::AllPrimes).map_err(|e| e.to_string()),
-        other => Err(format!("unknown style `{other}` (si|2l|2lr)")),
+/// A generated circuit family.
+struct Family {
+    /// The name a [`CircuitSpec::Family`] carries.
+    name: &'static str,
+    /// The size `satpg gen` and `--family` build when none is given.
+    default_size: usize,
+    /// Accepted sizes.  They are resource guards, not representation
+    /// limits: patterns and states are multi-word, so arbiter widths
+    /// past 63 are legal — such jobs just need an explicit
+    /// `pattern_budget`.  `dme`/`seq` synthesis cost grows steeply with
+    /// size, which is what caps them.
+    sizes: RangeInclusive<usize>,
+}
+
+/// The one table of generated families, shared by the daemon and every
+/// CLI subcommand.
+const FAMILIES: [Family; 4] = [
+    Family {
+        name: "muller",
+        default_size: 4,
+        sizes: 1..=128,
+    },
+    Family {
+        name: "arbiter",
+        default_size: 4,
+        sizes: 2..=128,
+    },
+    Family {
+        name: "dme",
+        default_size: 3,
+        sizes: 2..=6,
+    },
+    Family {
+        name: "seq",
+        default_size: 4,
+        sizes: 1..=15,
+    },
+];
+
+/// The spec of family `name` at `size`, or at the family's default size
+/// when `size` is `None`.  An unknown name is left for
+/// [`resolve_circuit`] to reject.
+pub fn family_spec(name: &str, size: Option<usize>) -> CircuitSpec {
+    let default = FAMILIES.iter().find(|f| f.name == name);
+    CircuitSpec::Family {
+        name: name.to_string(),
+        size: size.unwrap_or_else(|| default.map_or(0, |f| f.default_size)),
     }
 }
 
-fn size_in(size: usize, lo: usize, hi: usize) -> Result<usize, String> {
-    if (lo..=hi).contains(&size) {
-        Ok(size)
-    } else {
-        Err(format!(
-            "size {size} out of range for this family ({lo}..={hi})"
-        ))
-    }
-}
-
-/// Builds the circuit a spec names.
+/// Builds the circuit a spec names: netlists directly, STG specs
+/// through the state graph and the synthesis style.
 ///
 /// # Errors
 ///
 /// A human-readable message: parse errors (line-numbered), unknown
 /// benchmark/family names, out-of-range sizes, synthesis failures.
 pub fn resolve_circuit(spec: &CircuitSpec) -> Result<Circuit, String> {
-    match spec {
-        CircuitSpec::Bench { name, style } => {
-            let stg = suite::load(name).map_err(|e| format!("{name}: {e}"))?;
-            synth(&stg, style).map_err(|e| format!("{name}: {e}"))
+    let (stg, style) = match spec {
+        CircuitSpec::Bench { name, style } => (
+            suite::load(name).map_err(|e| format!("{name}: {e}"))?,
+            style.as_str(),
+        ),
+        CircuitSpec::Family { name, size } => {
+            let family = FAMILIES
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| format!("unknown family `{name}` (muller|dme|arbiter|seq)"))?;
+            if !family.sizes.contains(size) {
+                return Err(format!(
+                    "size {size} out of range for this family ({}..={})",
+                    family.sizes.start(),
+                    family.sizes.end()
+                ));
+            }
+            let stg = match family.name {
+                "muller" => return Ok(satpg_netlist::families::muller_pipeline(*size)),
+                "arbiter" => return Ok(satpg_netlist::families::arbiter_tree(*size)),
+                "dme" => satpg_stg::families::dme_ring(*size),
+                _ => satpg_stg::families::sequencer(*size),
+            };
+            (stg.map_err(|e| e.to_string())?, "si")
         }
-        // Family size caps mirror the CLI's `gen` ranges.  They are
-        // resource guards, not representation limits: patterns and
-        // states are multi-word, so arbiter widths past 63 are legal —
-        // such jobs just need an explicit `pattern_budget`.
-        CircuitSpec::Family { name, size } => match name.as_str() {
-            "muller" => Ok(satpg_netlist::families::muller_pipeline(size_in(
-                *size, 1, 128,
-            )?)),
-            "arbiter" => Ok(satpg_netlist::families::arbiter_tree(size_in(
-                *size, 2, 128,
-            )?)),
-            "dme" => {
-                let stg = satpg_stg::families::dme_ring(size_in(*size, 2, 6)?)
-                    .map_err(|e| e.to_string())?;
-                synth(&stg, "si")
-            }
-            "seq" => {
-                let stg = satpg_stg::families::sequencer(size_in(*size, 1, 15)?)
-                    .map_err(|e| e.to_string())?;
-                synth(&stg, "si")
-            }
-            other => Err(format!("unknown family `{other}` (muller|dme|arbiter|seq)")),
-        },
         CircuitSpec::InlineG { text, style } => {
-            let stg = parse_g(text).map_err(|e| e.to_string())?;
-            synth(&stg, style)
+            (parse_g(text).map_err(|e| e.to_string())?, style.as_str())
         }
-        CircuitSpec::InlineCkt { text } => parse_ckt(text).map_err(|e| e.to_string()),
+        CircuitSpec::InlineCkt { text } => return parse_ckt(text).map_err(|e| e.to_string()),
+    };
+    let synthesize = || -> Result<Circuit, String> {
+        let sg = StateGraph::build(&stg).map_err(|e| e.to_string())?;
+        match style {
+            "si" => complex_gate(&stg, &sg).map_err(|e| e.to_string()),
+            "2l" => two_level(&stg, &sg, Redundancy::None).map_err(|e| e.to_string()),
+            "2lr" => two_level(&stg, &sg, Redundancy::AllPrimes).map_err(|e| e.to_string()),
+            other => Err(format!("unknown style `{other}` (si|2l|2lr)")),
+        }
+    };
+    match spec {
+        CircuitSpec::Bench { name, .. } => synthesize().map_err(|e| format!("{name}: {e}")),
+        _ => synthesize(),
     }
 }
 

@@ -28,11 +28,11 @@ use crate::net::{read_line_capped, write_line, Conn, Listener};
 use crate::proto::{event, CircuitSpec, JobSpec, Request, ShardSpec, MAX_LINE_BYTES};
 use satpg_core::json::Json;
 use satpg_core::stages::FaultPlan;
-use satpg_core::{
-    build_cssg_sharded, fault_simulate, faults_for, three_phase, Cssg, CssgConfig, FaultStatus,
-    TestSequence,
+use satpg_core::{build_cssg_sharded, faults_for, Cssg, CssgConfig, FaultStatus, TestSequence};
+use satpg_engine::shard::Popped;
+use satpg_engine::{
+    run_engine_built, EngineConfig, EngineEvent, EngineSink, ShardExecutor, ShardFeed,
 };
-use satpg_engine::{run_engine_on_streaming, EngineConfig, EngineEvent, EngineSink};
 use satpg_netlist::{to_ckt, Circuit};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
@@ -356,7 +356,6 @@ impl EngineSink for ChannelSink<'_> {
                 truncated,
                 settle_states,
                 por_pruned,
-                shards: _,
                 us,
             } => self.send(event::stage(
                 j,
@@ -369,8 +368,7 @@ impl EngineSink for ChannelSink<'_> {
                     ("settle_states".to_string(), Json::int(settle_states)),
                     ("por_pruned".to_string(), Json::int(por_pruned)),
                     // The daemon builds (or cache-serves) the CSSG
-                    // itself, so the engine-side count is always 1;
-                    // report the daemon's actual build fan-out instead.
+                    // itself, so it reports its own build fan-out.
                     ("shards".to_string(), Json::int(self.cssg_shards)),
                     ("us".to_string(), Json::int(us)),
                 ],
@@ -571,12 +569,8 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
         } else {
             job.spec.workers
         },
-        broadcast: true,
-        symbolic_audit: true,
         gc_threshold: job.spec.gc_threshold.or(state.cfg.gc_threshold),
-        cssg_shards: 0,
-        settle_por: true,
-        settle_cap: None,
+        ..EngineConfig::default()
     };
 
     let skey: CssgKey = (
@@ -651,7 +645,7 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
         tx: Mutex::new(job.tx.clone()),
         events_dropped: &state.events_dropped,
     };
-    let out = run_engine_on_streaming(&ckt, &cssg, &faults, &cfg, us_cssg, &sink);
+    let out = run_engine_built(&ckt, &cssg, &faults, &cfg, us_cssg, &sink);
 
     let peak = out
         .workers
@@ -777,9 +771,10 @@ fn send_event(writer: &Mutex<Conn>, ev: &Json) -> io::Result<()> {
 /// A live shard session on this daemon acting as a fleet peer.
 struct ShardSession {
     /// `(class, test)` pairs relayed by the coordinator's `broadcast`
-    /// requests: appended by the connection thread, drained by cursor in
-    /// [`execute_shard`] between classes.  Append-only, so a cursor is
-    /// enough and no relay is ever lost to a race.
+    /// requests (appended by the connection thread) and found by the
+    /// shard itself, drained by cursor in [`execute_shard`] between
+    /// classes.  Append-only, so a cursor is enough and no relay is
+    /// ever lost to a race.
     broadcasts: Mutex<Vec<(usize, TestSequence)>>,
 }
 
@@ -960,14 +955,15 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
     }
 }
 
-/// Runs one fleet shard: the assigned classes in ascending serial order,
-/// each three-phase verdict streamed as a `shard_verdict` event.
+/// Runs one fleet shard: the assigned classes in ascending serial order
+/// through the engine's [`ShardExecutor`], each verdict streamed as a
+/// `shard_verdict` event.
 ///
-/// Two screening rules keep redundant work down, both the engine
-/// worker's exact rule (`cb > ca` and the test fault-simulates to a
-/// hit) so the coordinator's serial merge replay re-derives every drop:
-/// a test found *here* screens this shard's own remaining classes, and
-/// coordinator-relayed broadcasts screen them too.
+/// The executor screens the remaining classes by the engine's one rule
+/// ([`satpg_engine::screened`]), so the coordinator's serial merge
+/// replay re-derives every drop: a test found *here* screens this
+/// shard's own remaining classes, and coordinator-relayed broadcasts
+/// screen them too.  The symbolic audit stays off on peers.
 fn execute_shard(
     state: &Arc<State>,
     writer: &Arc<Mutex<Conn>>,
@@ -1010,62 +1006,66 @@ fn execute_shard(
         )));
     }
 
-    let m = satpg_trace::metrics();
-    m.counter("fleet.shards_executed").inc();
-    // Does `test`, found at class `ca`, screen out pending class `cb`?
-    let screens = |ca: usize, test: &TestSequence, cb: usize| -> bool {
-        cb > ca
-            && !fault_simulate(
-                &ckt,
-                &cssg,
-                test,
-                std::slice::from_ref(&plan.classes()[cb].representative),
-            )
-            .is_empty()
+    satpg_trace::metrics()
+        .counter("fleet.shards_executed")
+        .inc();
+    let mut feed = PeerFeed {
+        pending: spec.classes.iter().copied().collect(),
+        session,
+        seen: 0,
+        reply: &|class, verdict| reply(event::shard_verdict(shard, class, verdict)),
     };
-    let mut pending: VecDeque<usize> = spec.classes.iter().copied().collect();
-    let mut computed = 0usize;
-    let mut dropped = 0usize;
-    let mut seen = 0usize;
-    while let Some(ci) = pending.pop_front() {
-        let fresh: Vec<(usize, TestSequence)> = {
-            let b = session.broadcasts.lock().expect("broadcast lock");
-            b[seen..].to_vec()
-        };
-        seen += fresh.len();
-        let mut ci_screened = false;
-        if acfg.fault_sim {
-            for (ca, test) in &fresh {
-                ci_screened = ci_screened || screens(*ca, test, ci);
-                pending.retain(|&cb| {
-                    let hit = screens(*ca, test, cb);
-                    dropped += usize::from(hit);
-                    !hit
-                });
-            }
-        }
-        if ci_screened {
-            dropped += 1;
-            continue;
-        }
-        let verdict = three_phase(
-            &ckt,
-            &cssg,
-            &plan.classes()[ci].representative,
-            &acfg.three_phase,
-        );
-        if acfg.fault_sim {
-            if let FaultStatus::Detected { sequence } = &verdict {
-                pending.retain(|&cb| {
-                    let hit = screens(ci, sequence, cb);
-                    dropped += usize::from(hit);
-                    !hit
-                });
-            }
-        }
-        reply(event::shard_verdict(shard, ci, &verdict));
-        m.counter("fleet.shard_verdicts").inc();
-        computed += 1;
+    let stats = ShardExecutor::new(&ckt, &cssg, &plan, &acfg, 0).run(&mut feed);
+    reply(event::shard_result(
+        shard,
+        stats.searched,
+        stats.broadcast_drops,
+    ));
+}
+
+/// A peer shard's feed: the shard's classes in the order they arrived,
+/// the session's test log, and the connection the verdicts stream to.
+struct PeerFeed<'a> {
+    pending: VecDeque<usize>,
+    session: &'a ShardSession,
+    /// Cursor into the session's append-only test log.
+    seen: usize,
+    reply: &'a dyn Fn(usize, &FaultStatus),
+}
+
+impl ShardFeed for PeerFeed<'_> {
+    fn fresh_tests(&mut self) -> Vec<(usize, TestSequence)> {
+        let log = self.session.broadcasts.lock().expect("broadcast lock");
+        let fresh = log[self.seen..].to_vec();
+        self.seen = log.len();
+        fresh
     }
-    reply(event::shard_result(shard, computed, dropped));
+
+    fn drop_pending(&mut self, doomed: &mut dyn FnMut(&[usize]) -> Vec<usize>) -> usize {
+        if self.pending.is_empty() {
+            return 0;
+        }
+        let gone = doomed(self.pending.make_contiguous());
+        let before = self.pending.len();
+        self.pending.retain(|c| !gone.contains(c));
+        before - self.pending.len()
+    }
+
+    fn pop(&mut self) -> Option<Popped> {
+        self.pending.pop_front().map(Popped::Own)
+    }
+
+    fn emit(&mut self, class: usize, verdict: FaultStatus) {
+        (self.reply)(class, &verdict);
+        satpg_trace::metrics().counter("fleet.shard_verdicts").inc();
+        // A test found here screens this shard's later classes exactly
+        // as a relayed one does.
+        if let FaultStatus::Detected { sequence } = verdict {
+            self.session
+                .broadcasts
+                .lock()
+                .expect("broadcast lock")
+                .push((class, sequence));
+        }
+    }
 }

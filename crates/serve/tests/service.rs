@@ -471,3 +471,113 @@ fn unix_socket_transport_works() {
     handle.join().unwrap().unwrap();
     assert!(!std::path::Path::new(&path).exists(), "socket file cleaned");
 }
+
+/// A shard session screens with the tests the coordinator relays: a
+/// broadcast that detects the shard's first class drops it before any
+/// search (no test of the shard's own can have), the session reports
+/// `dropped > 0`, and the verdicts it did stream still merge to the
+/// serial report.
+#[test]
+fn relayed_broadcasts_drop_shard_classes_and_still_merge() {
+    use satpg_core::{build_cssg_sharded, faults_for, run_atpg_on, three_phase, FaultStatus};
+    use satpg_engine::{merge_partial, prepare_campaign, screened};
+    use satpg_serve::proto::{verdict_from_json, Request, ShardSpec};
+    use std::io::{BufRead, BufReader, Write};
+
+    let job = JobSpec {
+        no_random: true,
+        ..JobSpec::new(satpg_serve::family_spec("muller", Some(8)))
+    };
+    let ckt = satpg_serve::resolve_circuit(&job.circuit).expect("family builds");
+    let acfg = satpg_serve::job_atpg_config(&job, &ckt);
+    let cssg = build_cssg_sharded(&ckt, &acfg.cssg, 1).expect("CSSG builds");
+    let faults = faults_for(&ckt, acfg.fault_model);
+    let campaign = prepare_campaign(&ckt, &cssg, &faults, &acfg);
+    let open = campaign.state.open_classes();
+    // The first class whose test screens out the very next open class.
+    let (ca, test, shard) = open
+        .iter()
+        .enumerate()
+        .find_map(|(i, &ca)| {
+            let rep = campaign.plan.classes()[ca].representative;
+            let FaultStatus::Detected { sequence } =
+                three_phase(&ckt, &cssg, &rep, &acfg.three_phase)
+            else {
+                return None;
+            };
+            let shard = open[i + 1..].to_vec();
+            let first = *shard.first()?;
+            screened(&ckt, &cssg, &campaign.plan, ca, &sequence, &shard)
+                .contains(&first)
+                .then_some((ca, sequence, shard))
+        })
+        .expect("some test screens the next class");
+
+    let (addr, handle) = start(ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // One write: the relay is queued behind the submit, so it lands
+    // while the session is still building its circuit and CSSG.
+    let submit = Request::ShardSubmit(Box::new(ShardSpec {
+        job: job.clone(),
+        classes: shard.clone(),
+    }));
+    let relay = Request::Broadcast {
+        shard: 1,
+        class: ca,
+        test,
+    };
+    let lines = format!(
+        "{}\n{}\n",
+        submit.to_json_with_id(Some(1)).render(),
+        relay.to_json_value().render()
+    );
+    stream.write_all(lines.as_bytes()).unwrap();
+    let mut verdicts: Vec<Option<FaultStatus>> = vec![None; campaign.plan.len()];
+    let (computed, dropped) = loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = Json::parse(line.trim()).expect("reply is protocol JSON");
+        match v.get("event").and_then(Json::as_str) {
+            Some("shard_verdict") => {
+                let class = v.get("class").and_then(Json::as_usize).expect("class");
+                verdicts[class] = Some(verdict_from_json(&v).expect("verdict"));
+            }
+            Some("shard_result") => {
+                let n = |k: &str| v.get(k).and_then(Json::as_usize).expect("count");
+                break (n("computed"), n("dropped"));
+            }
+            Some("shard_accepted" | "broadcast_ok") => {}
+            other => panic!("unexpected reply {other:?}: {v}"),
+        }
+    };
+    assert!(dropped > 0, "the relayed test must drop classes");
+    assert_eq!(computed + dropped, shard.len());
+    assert!(
+        verdicts[shard[0]].is_none(),
+        "the relay screened class {}",
+        shard[0]
+    );
+
+    let merged = merge_partial(
+        &ckt,
+        &cssg,
+        &faults,
+        &acfg,
+        &campaign.plan,
+        campaign.state,
+        0,
+        0,
+        0,
+        &mut |ci| verdicts[ci].take(),
+    );
+    let serial = run_atpg_on(&ckt, &cssg, &faults, &acfg, 0).expect("serial ATPG runs");
+    assert_eq!(
+        merged.report.to_json_value(false).render(),
+        serial.to_json_value(false).render()
+    );
+    drop(stream);
+    let mut client = Client::connect(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap().unwrap();
+}

@@ -2,35 +2,42 @@
 //!
 //! ```text
 //! satpg list                         # bundled benchmarks
-//! satpg synth <bench> [--style si|2l|2lr]     # print the netlist
-//! satpg cssg <bench> [--style …] [--k N]      # synchronous abstraction
-//! satpg atpg <bench> [--style …] [--output-model] [--collapse] [--no-random]
-//! satpg scan <bench> [--style …]     # scan-point candidates (extension)
+//! satpg synth <circuit> [--style si|2l|2lr]   # print the netlist
+//! satpg cssg <circuit> [--k N]       # synchronous abstraction
+//! satpg atpg <circuit> [--output-model] [--collapse] [--no-random]
+//! satpg scan <circuit>               # scan-point candidates (extension)
 //! satpg table <1|2>                  # regenerate a paper table
-//! satpg dot <bench> [--style …]      # Graphviz export
-//! satpg gen <family> --size K        # muller|dme|arbiter|seq → .ckt on stdout
-//! satpg engine <bench|-> [--workers N] [--no-broadcast] [--no-audit]
-//!                                    # fault-parallel ATPG; `-` reads .ckt
-//!                                    # from stdin (pipe from `satpg gen`)
+//! satpg dot <circuit>                # Graphviz export
+//! satpg gen <family> [--size K]      # muller|dme|arbiter|seq → .ckt on stdout
+//! satpg engine <circuit> [--workers N] [--no-broadcast] [--no-audit]
+//!                                    # fault-parallel ATPG
 //! satpg serve  [--addr A] [--serve-workers N] [--queue-depth N] ...
 //!                                    # persistent service daemon
-//! satpg submit <bench|-> [--addr A] ...   # submit a job to the daemon
+//! satpg submit <circuit> [--addr A] ...   # submit a job to the daemon
+//! satpg fleet <circuit> --peers A,B  # one campaign across peer daemons
 //! satpg status [--addr A]            # daemon scheduler/cache counters
 //! satpg shutdown [--addr A]          # stop the daemon cleanly
 //! ```
+//!
+//! `<circuit>` is a benchmark name, `-` (`.g` or `.ckt` text on stdin,
+//! e.g. piped from `satpg gen`), or `--family F [--size K]`.  Every
+//! subcommand resolves it through [`satpg::serve::resolve_circuit`] and
+//! derives its flow configuration from [`satpg::serve::job_atpg_config`],
+//! the same path the daemon and the fleet take.
 
 use satpg::core::json::Json;
 use satpg::core::report::{format_table, TableRow};
 use satpg::core::tester::TestProgram;
 use satpg::core::{
-    build_cssg_sharded, run_atpg, run_atpg_on, AtpgConfig, CapPolicy, CoreError, CssgConfig,
-    FaultModel, RandomTpgConfig, ThreePhaseConfig,
+    build_cssg_sharded, run_atpg, run_atpg_on, AtpgConfig, AtpgReport, CapPolicy, CoreError, Cssg,
 };
 use satpg::engine::{run_engine, EngineConfig};
-use satpg::netlist::{parse_ckt, to_ckt, Circuit};
-use satpg::serve::{run_fleet, CircuitSpec, Client, FleetConfig, JobSpec, ServeConfig, Server};
-use satpg::stg::synth::{complex_gate, two_level, Redundancy};
-use satpg::stg::{suite, StateGraph};
+use satpg::netlist::{to_ckt, Circuit};
+use satpg::serve::{
+    family_spec, job_atpg_config, resolve_circuit, run_fleet, CircuitSpec, Client, JobSpec,
+    ServeConfig, Server,
+};
+use satpg::stg::suite;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -42,17 +49,17 @@ fn usage() -> ExitCode {
         "usage: satpg <command> [...]\n\
          commands:\n  \
            list\n  \
-           synth <bench> [--style si|2l|2lr]\n  \
-           cssg  <bench> [--style si|2l|2lr] [--k N] [--cssg-shards N] [--no-por]\n          \
+           synth  <circuit>\n  \
+           cssg   <circuit> [--k N] [--cssg-shards N] [--no-por]\n          \
                   [--settle-cap N] [--settle-threads N]\n  \
-           atpg  <bench> [--style si|2l|2lr] [--output-model] [--collapse] [--no-random]\n          \
+           atpg   <circuit> [--output-model] [--collapse] [--no-random]\n          \
                   [--pp-random] [--pattern-budget N] [--program] [--json] [--cssg-shards N]\n          \
                   [--no-por] [--settle-cap N] [--settle-threads N]\n  \
-           scan  <bench> [--style si|2l|2lr]\n  \
-           table <1|2>\n  \
-           dot   <bench> [--style si|2l|2lr]\n  \
-           gen   <muller|dme|arbiter|seq> [--size K]\n  \
-           engine <bench|-> [--style si|2l|2lr] [--k N] [--workers N] [--output-model]\n          \
+           scan   <circuit>\n  \
+           table  <1|2>\n  \
+           dot    <circuit>\n  \
+           gen    <muller|dme|arbiter|seq> [--size K]   # .ckt on stdout\n  \
+           engine <circuit> [--k N] [--workers N] [--output-model]\n          \
                   [--collapse] [--no-random] [--no-broadcast] [--no-audit] [--json]\n          \
                   [--pp-random]       # random stage: 64 patterns per pass, 1 fault\n          \
                   [--pattern-budget N]# per-state CSSG pattern cap (needed past 63 inputs)\n          \
@@ -66,27 +73,33 @@ fn usage() -> ExitCode {
                   [--peers A,B,..]    # coordinator mode: partition jobs across peers\n          \
                   [--max-shards N] [--fleet-chunk N] [--fleet-retries N]\n          \
                   [--fleet-timeout-ms N] [--fleet-backoff-ms N]\n  \
-           fleet  <bench|-> --peers A,B,.. [--family F --size K] [--style si|2l|2lr]\n          \
+           fleet  <circuit> --peers A,B,..\n          \
                   [--fleet-chunk N] [--fleet-retries N] [--fleet-timeout-ms N]\n          \
                   [--fleet-backoff-ms N] [--k N] [--output-model] [--collapse]\n          \
                   [--no-random] [--json]   # one campaign across peer daemons\n  \
-           submit <bench|-> [--addr A] [--style si|2l|2lr] [--family F --size K]\n          \
+           submit <circuit> [--addr A]\n          \
                   [--workers N] [--gc-threshold N] [--k N] [--output-model] [--collapse]\n          \
-                  [--no-random] [--json]   # `-` submits .g or .ckt text from stdin\n  \
+                  [--no-random] [--json]\n  \
            status [--addr A] [--json]\n  \
            metrics [--addr A] [--json]   # process-wide metrics registry snapshot\n  \
            shutdown [--addr A]\n  \
            bench-diff <old.json> <new.json> [--ignore-timing]\n                \
                   # compare bench_report.json files; >20% regressions exit nonzero\n  \
            trace-check <trace.json>      # validate a Chrome trace-event file\n\
-         engine/atpg/serve also accept --trace-out DIR to write Chrome trace-event\n\
+         <circuit> is a benchmark name [--style si|2l|2lr], `-` (.g or .ckt text on\n\
+         stdin) or --family muller|dme|arbiter|seq [--size K].\n\
+         engine/atpg/fleet/serve also accept --trace-out DIR to write Chrome trace-event\n\
          files (load them at https://ui.perfetto.dev or chrome://tracing)"
     );
     ExitCode::FAILURE
 }
 
 struct Opts {
+    /// The positional argument: a benchmark name, `-` for stdin, or the
+    /// family name of `gen`.
     bench: Option<String>,
+    family: Option<String>,
+    size: Option<usize>,
     style: String,
     k: Option<usize>,
     output_model: bool,
@@ -96,7 +109,6 @@ struct Opts {
     pattern_budget: Option<u64>,
     program: bool,
     workers: usize,
-    size: Option<usize>,
     no_broadcast: bool,
     no_audit: bool,
     gc_threshold: Option<usize>,
@@ -105,23 +117,15 @@ struct Opts {
     settle_cap: Option<usize>,
     settle_threads: usize,
     json: bool,
-    addr: String,
-    family: Option<String>,
-    serve_workers: usize,
-    queue_depth: usize,
-    cache_size: usize,
-    trace_out: Option<PathBuf>,
-    peers: Vec<String>,
-    max_shards: usize,
-    fleet_chunk: usize,
-    fleet_retries: usize,
-    fleet_timeout_ms: u64,
-    fleet_backoff_ms: u64,
+    /// Daemon, fleet and `--trace-out` settings.
+    serve: ServeConfig,
 }
 
 fn parse_opts(args: &[String]) -> Option<Opts> {
     let mut o = Opts {
         bench: None,
+        family: None,
+        size: None,
         style: "si".into(),
         k: None,
         output_model: false,
@@ -131,7 +135,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         pattern_budget: None,
         program: false,
         workers: 0,
-        size: None,
         no_broadcast: false,
         no_audit: false,
         gc_threshold: None,
@@ -140,19 +143,12 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         settle_cap: None,
         settle_threads: 1,
         json: false,
-        addr: DEFAULT_ADDR.into(),
-        family: None,
-        serve_workers: 2,
-        queue_depth: 16,
-        cache_size: 64,
-        trace_out: None,
-        peers: Vec::new(),
-        max_shards: 16,
-        fleet_chunk: 0,
-        fleet_retries: 2,
-        fleet_timeout_ms: 10_000,
-        fleet_backoff_ms: 50,
+        serve: ServeConfig {
+            addr: DEFAULT_ADDR.into(),
+            ..ServeConfig::default()
+        },
     };
+    let s = &mut o.serve;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -174,25 +170,25 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--settle-cap" => o.settle_cap = Some(it.next()?.parse().ok()?),
             "--settle-threads" => o.settle_threads = it.next()?.parse().ok()?,
             "--json" => o.json = true,
-            "--addr" => o.addr = it.next()?.clone(),
             "--family" => o.family = Some(it.next()?.clone()),
-            "--serve-workers" => o.serve_workers = it.next()?.parse().ok()?,
-            "--queue-depth" => o.queue_depth = it.next()?.parse().ok()?,
-            "--cache-size" => o.cache_size = it.next()?.parse().ok()?,
-            "--trace-out" => o.trace_out = Some(PathBuf::from(it.next()?)),
+            "--addr" => s.addr = it.next()?.clone(),
+            "--serve-workers" => s.pool_workers = it.next()?.parse().ok()?,
+            "--queue-depth" => s.queue_depth = it.next()?.parse().ok()?,
+            "--cache-size" => s.cache_entries = it.next()?.parse().ok()?,
+            "--trace-out" => s.trace_out = Some(PathBuf::from(it.next()?)),
             "--peers" => {
-                o.peers = it
+                s.peers = it
                     .next()?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(str::to_string)
                     .collect()
             }
-            "--max-shards" => o.max_shards = it.next()?.parse().ok()?,
-            "--fleet-chunk" => o.fleet_chunk = it.next()?.parse().ok()?,
-            "--fleet-retries" => o.fleet_retries = it.next()?.parse().ok()?,
-            "--fleet-timeout-ms" => o.fleet_timeout_ms = it.next()?.parse().ok()?,
-            "--fleet-backoff-ms" => o.fleet_backoff_ms = it.next()?.parse().ok()?,
+            "--max-shards" => s.max_shards = it.next()?.parse().ok()?,
+            "--fleet-chunk" => s.fleet_chunk = it.next()?.parse().ok()?,
+            "--fleet-retries" => s.fleet_retries = it.next()?.parse().ok()?,
+            "--fleet-timeout-ms" => s.fleet_timeout_ms = it.next()?.parse().ok()?,
+            "--fleet-backoff-ms" => s.fleet_backoff_ms = it.next()?.parse().ok()?,
             "-" if o.bench.is_none() => o.bench = Some("-".to_string()),
             s if !s.starts_with('-') && o.bench.is_none() => o.bench = Some(s.to_string()),
             _ => return None,
@@ -201,695 +197,11 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
     Some(o)
 }
 
-/// Parses options and requires a positional benchmark argument.
-fn parse_opts_bench(args: &[String]) -> Option<Opts> {
-    let o = parse_opts(args)?;
-    o.bench.as_ref()?;
-    Some(o)
-}
-
-/// The CSSG configuration the settle flags induce.
-fn cssg_config(o: &Opts) -> CssgConfig {
-    let mut cfg = CssgConfig {
-        k: o.k,
-        settle_threads: o.settle_threads,
-        pattern_budget: o.pattern_budget,
-        ..CssgConfig::default()
-    };
-    if o.no_por {
-        cfg.por = false;
-    }
-    if let Some(n) = o.settle_cap {
-        cfg.settle_cap = CapPolicy::Fixed(n);
-    }
-    cfg
-}
-
-/// [`ThreePhaseConfig::scaled`] with the settle flags applied.
-/// The random-TPG stage the flags induce: disabled by `--no-random`,
-/// switched to the 64-pattern-per-pass lane layout by `--pp-random`.
-fn random_config(o: &Opts) -> Option<RandomTpgConfig> {
-    (!o.no_random).then(|| RandomTpgConfig {
-        pattern_parallel: o.pp_random,
-        ..RandomTpgConfig::default()
-    })
-}
-
-fn three_phase_config(o: &Opts, ckt: &Circuit) -> ThreePhaseConfig {
-    let mut cfg = ThreePhaseConfig::scaled(ckt);
-    if o.no_por {
-        cfg.por = false;
-    }
-    if let Some(n) = o.settle_cap {
-        cfg.settle_cap = CapPolicy::Fixed(n);
-    }
-    cfg
-}
-
-fn synthesize(name: &str, style: &str) -> Result<Circuit, String> {
-    let stg = suite::load(name).map_err(|e| format!("{name}: {e}"))?;
-    let sg = StateGraph::build(&stg).map_err(|e| format!("{name}: {e}"))?;
-    match style {
-        "si" => complex_gate(&stg, &sg).map_err(|e| e.to_string()),
-        "2l" => two_level(&stg, &sg, Redundancy::None).map_err(|e| e.to_string()),
-        "2lr" => two_level(&stg, &sg, Redundancy::AllPrimes).map_err(|e| e.to_string()),
-        other => Err(format!("unknown style `{other}` (si|2l|2lr)")),
-    }
-}
-
-/// Builds a generated-family circuit: `muller`/`arbiter` at netlist
-/// level, `dme`/`seq` through the STG pipeline.
-fn generate(family: &str, size: Option<usize>) -> Result<Circuit, String> {
-    use satpg::netlist::families as nf;
-    use satpg::stg::families as sf;
-    let size_in = |size: Option<usize>, default: usize, lo: usize, hi: usize| {
-        let k = size.unwrap_or(default);
-        if (lo..=hi).contains(&k) {
-            Ok(k)
-        } else {
-            Err(format!(
-                "--size {k} out of range for this family ({lo}..={hi})"
-            ))
-        }
-    };
-    match family {
-        "muller" => Ok(nf::muller_pipeline(size_in(size, 4, 1, 128)?)),
-        "arbiter" => Ok(nf::arbiter_tree(size_in(size, 4, 2, 128)?)),
-        "dme" => {
-            let stg = sf::dme_ring(size_in(size, 3, 2, 6)?).map_err(|e| e.to_string())?;
-            let sg = StateGraph::build(&stg).map_err(|e| e.to_string())?;
-            complex_gate(&stg, &sg).map_err(|e| e.to_string())
-        }
-        "seq" => {
-            let stg = sf::sequencer(size_in(size, 4, 1, 15)?).map_err(|e| e.to_string())?;
-            let sg = StateGraph::build(&stg).map_err(|e| e.to_string())?;
-            complex_gate(&stg, &sg).map_err(|e| e.to_string())
-        }
-        other => Err(format!("unknown family `{other}` (muller|dme|arbiter|seq)")),
-    }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    match cmd.as_str() {
-        "list" => {
-            for &n in suite::NAMES {
-                let tag = if suite::is_redundant(n) {
-                    "  (redundant in table 2)"
-                } else {
-                    ""
-                };
-                println!("{n}{tag}");
-            }
-            ExitCode::SUCCESS
-        }
-        "table" => match args.get(1).map(String::as_str) {
-            Some("1") => {
-                let rows: Vec<TableRow> = suite::NAMES
-                    .iter()
-                    .map(|&n| {
-                        let ckt = synthesize(n, "si").expect("suite synthesizes");
-                        row_for(&ckt, n)
-                    })
-                    .collect();
-                print!("{}", format_table("Table 1 (speed-independent)", &rows));
-                ExitCode::SUCCESS
-            }
-            Some("2") => {
-                let rows: Vec<TableRow> = suite::NAMES
-                    .iter()
-                    .map(|&n| {
-                        let style = if suite::is_redundant(n) { "2lr" } else { "2l" };
-                        let ckt = synthesize(n, style).expect("suite synthesizes");
-                        row_for(&ckt, n)
-                    })
-                    .collect();
-                print!("{}", format_table("Table 2 (bounded delays)", &rows));
-                ExitCode::SUCCESS
-            }
-            _ => usage(),
-        },
-        "gen" => {
-            let Some(o) = parse_opts_bench(&args[1..]) else {
-                return usage();
-            };
-            let family = o.bench.as_deref().expect("checked");
-            let ckt = match generate(family, o.size) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            print!("{}", to_ckt(&ckt));
-            ExitCode::SUCCESS
-        }
-        "engine" => {
-            let Some(o) = parse_opts_bench(&args[1..]) else {
-                return usage();
-            };
-            let name = o.bench.as_deref().expect("checked");
-            let ckt = if name == "-" {
-                let mut src = String::new();
-                use std::io::Read as _;
-                if let Err(e) = std::io::stdin().read_to_string(&mut src) {
-                    eprintln!("error: reading stdin: {e}");
-                    return ExitCode::FAILURE;
-                }
-                match parse_ckt(&src) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match synthesize(name, &o.style) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            let cfg = EngineConfig {
-                atpg: AtpgConfig {
-                    cssg: cssg_config(&o),
-                    random: random_config(&o),
-                    fault_model: if o.output_model {
-                        FaultModel::OutputStuckAt
-                    } else {
-                        FaultModel::InputStuckAt
-                    },
-                    collapse: o.collapse,
-                    fault_sim: true,
-                    three_phase: three_phase_config(&o, &ckt),
-                },
-                workers: o.workers,
-                broadcast: !o.no_broadcast,
-                symbolic_audit: !o.no_audit,
-                gc_threshold: o.gc_threshold,
-                cssg_shards: o.cssg_shards,
-                settle_por: !o.no_por,
-                settle_cap: o.settle_cap.map(CapPolicy::Fixed),
-            };
-            let tracing = trace_setup(&o);
-            let result = run_engine(&ckt, &cfg);
-            trace_finish(tracing, ckt.name());
-            match result {
-                Ok(out) => {
-                    if o.json {
-                        println!("{}", out.to_json_value(true).render());
-                        return ExitCode::SUCCESS;
-                    }
-                    let r = &out.report;
-                    println!(
-                        "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests, {} us",
-                        r.circuit,
-                        r.covered(),
-                        r.total(),
-                        r.coverage(),
-                        r.efficiency(),
-                        r.untestable(),
-                        r.aborted(),
-                        r.tests.len(),
-                        r.us_total()
-                    );
-                    println!(
-                        "engine: {} workers, {} parallel verdicts, {} merge fallbacks, parallel {} us, merge {} us",
-                        out.workers.len(),
-                        out.parallel_verdicts,
-                        out.merge_fallbacks,
-                        out.us_parallel,
-                        out.us_merge
-                    );
-                    for w in &out.workers {
-                        println!(
-                            "  worker {}: searched {:>3} (stolen {:>3}), tests {:>3}, drops {:>3}, bdd {} nodes / {} cache ({} clears), gc {} sweeps / {} reclaimed (peak {}), settle {} states / {} por-pruned, busy {} us",
-                            w.worker,
-                            w.searched,
-                            w.stolen,
-                            w.tests_found,
-                            w.broadcast_drops,
-                            w.bdd_nodes,
-                            w.bdd_cache,
-                            w.bdd_cache_clears,
-                            w.bdd_gc_runs,
-                            w.bdd_reclaimed,
-                            w.bdd_peak_unique,
-                            w.settle_states,
-                            w.settle_por_pruned,
-                            w.us_busy
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "serve" | "submit" | "status" | "metrics" | "shutdown" | "fleet" => {
-            let Some(o) = parse_opts(&args[1..]) else {
-                return usage();
-            };
-            service_command(cmd, &o)
-        }
-        "bench-diff" => {
-            let mut ignore_timing = false;
-            let mut files: Vec<&str> = Vec::new();
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--ignore-timing" => ignore_timing = true,
-                    s if !s.starts_with('-') => files.push(s),
-                    _ => return usage(),
-                }
-            }
-            let [old_path, new_path] = files[..] else {
-                return usage();
-            };
-            match bench_diff(old_path, new_path, ignore_timing) {
-                Ok(0) => ExitCode::SUCCESS,
-                Ok(n) => {
-                    eprintln!("bench-diff: {n} regression(s) over 20%");
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "trace-check" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            match trace_check(path) {
-                Ok(summary) => {
-                    println!("{summary}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "synth" | "cssg" | "atpg" | "dot" | "scan" => {
-            let Some(o) = parse_opts_bench(&args[1..]) else {
-                return usage();
-            };
-            let name = o.bench.as_deref().expect("checked");
-            let ckt = match synthesize(name, &o.style) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match cmd.as_str() {
-                "synth" => {
-                    println!("{ckt}");
-                    for (gi, g) in ckt.gates().iter().enumerate() {
-                        let out = ckt.gate_output(satpg::netlist::GateId(gi as u32));
-                        let ins: Vec<&str> = g.inputs.iter().map(|&s| ckt.signal_name(s)).collect();
-                        println!(
-                            "  {} = {}({})",
-                            ckt.signal_name(out),
-                            g.kind.name(),
-                            ins.join(", ")
-                        );
-                    }
-                }
-                "dot" => print!("{}", ckt.to_dot()),
-                "cssg" => {
-                    let cfg = cssg_config(&o);
-                    match build_cssg_sharded(&ckt, &cfg, o.cssg_shards.max(1)) {
-                        Ok(c) => {
-                            println!(
-                                "CSSG(k={}): {} stable states, {} edges; pruned {} non-confluent, {} unstable; {} truncated at resource limits",
-                                c.k(),
-                                c.num_states(),
-                                c.num_edges(),
-                                c.pruned_nonconfluent(),
-                                c.pruned_unstable(),
-                                c.pruned_truncated()
-                            );
-                            let ss = c.settle_stats();
-                            println!(
-                                "settler: {} state expansions over {} analyses; POR reduced {} expansions, pruned {} branches{}",
-                                ss.states_explored,
-                                ss.settles,
-                                ss.por_states,
-                                ss.por_pruned,
-                                if cfg.por { "" } else { " (POR off)" }
-                            );
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                "atpg" => {
-                    let cfg = AtpgConfig {
-                        cssg: cssg_config(&o),
-                        random: random_config(&o),
-                        fault_model: if o.output_model {
-                            FaultModel::OutputStuckAt
-                        } else {
-                            FaultModel::InputStuckAt
-                        },
-                        collapse: o.collapse,
-                        fault_sim: true,
-                        three_phase: three_phase_config(&o, &ckt),
-                    };
-                    let tracing = trace_setup(&o);
-                    // The abstraction is built up front (optionally
-                    // sharded — structurally identical either way) and
-                    // reused for the tester program below.
-                    let t0 = std::time::Instant::now();
-                    let cssg = match build_cssg_sharded(&ckt, &cfg.cssg, o.cssg_shards.max(1)) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    let us_cssg = t0.elapsed().as_micros();
-                    if cssg.num_edges() == 0 {
-                        eprintln!("error: {}", CoreError::NoValidVectors);
-                        return ExitCode::FAILURE;
-                    }
-                    let faults = satpg::core::faults_for(&ckt, cfg.fault_model);
-                    let result = run_atpg_on(&ckt, &cssg, &faults, &cfg, us_cssg);
-                    trace_finish(tracing, ckt.name());
-                    match result {
-                        Ok(r) => {
-                            if o.json {
-                                println!("{}", r.to_json());
-                                return ExitCode::SUCCESS;
-                            }
-                            println!(
-                                "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests, {} us",
-                                r.circuit,
-                                r.covered(),
-                                r.total(),
-                                r.coverage(),
-                                r.efficiency(),
-                                r.untestable(),
-                                r.aborted(),
-                                r.tests.len(),
-                                r.us_total()
-                            );
-                            if o.program {
-                                let mut prog = TestProgram::new(&ckt);
-                                for (i, t) in r.tests.iter().enumerate() {
-                                    prog.push_sequence(&ckt, &cssg, format!("test {i}"), t);
-                                }
-                                print!("{prog}");
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                "scan" => {
-                    let cfg = CssgConfig::default();
-                    let cssg = build_cssg_sharded(&ckt, &cfg, 1).expect("stable reset");
-                    let report = run_atpg(&ckt, &AtpgConfig::paper()).expect("ATPG runs");
-                    let analysis =
-                        satpg::core::scan_candidates(&ckt, &cssg, &report, &Default::default());
-                    println!(
-                        "{}: {}/{} undetected; scan candidates:",
-                        ckt.name(),
-                        report.total() - report.covered(),
-                        report.total()
-                    );
-                    for c in analysis.candidates.iter().take(8) {
-                        println!(
-                            "  observe {:<12} exposes {:>3} faults",
-                            ckt.signal_name(c.signal),
-                            c.exposes.len()
-                        );
-                    }
-                    if !analysis.hopeless.is_empty() {
-                        println!(
-                            "  {} faults exposed by no single point",
-                            analysis.hopeless.len()
-                        );
-                    }
-                }
-                _ => unreachable!(),
-            }
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
-    }
-}
-
-/// The `serve` / `submit` / `status` / `shutdown` commands.
-fn service_command(cmd: &str, o: &Opts) -> ExitCode {
-    match cmd {
-        "serve" => {
-            let cfg = ServeConfig {
-                addr: o.addr.clone(),
-                pool_workers: o.serve_workers,
-                queue_depth: o.queue_depth,
-                cache_entries: o.cache_size,
-                default_job_workers: o.workers,
-                gc_threshold: o.gc_threshold,
-                trace_out: o.trace_out.clone(),
-                peers: o.peers.clone(),
-                max_shards: o.max_shards,
-                fleet_chunk: o.fleet_chunk,
-                fleet_retries: o.fleet_retries,
-                fleet_timeout_ms: o.fleet_timeout_ms,
-                fleet_backoff_ms: o.fleet_backoff_ms,
-            };
-            let server = match Server::bind(cfg) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: bind {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Scripts scrape this line for the ephemeral port.
-            println!("listening on {}", server.local_addr());
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-            match server.run() {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "submit" => {
-            let circuit = match submit_spec(o) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let spec = JobSpec {
-                circuit,
-                workers: o.workers,
-                gc_threshold: o.gc_threshold,
-                output_model: o.output_model,
-                collapse: o.collapse,
-                no_random: o.no_random,
-                pp_random: o.pp_random,
-                k: o.k,
-                pattern_budget: o.pattern_budget,
-            };
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            let quiet = o.json;
-            let outcome = client.submit_streaming(spec, &mut |ev| {
-                if !quiet {
-                    print_event(ev);
-                }
-            });
-            match outcome {
-                Ok(out) => {
-                    if o.json {
-                        println!("{}", out.report.render());
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "status" => {
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            match client.status() {
-                Ok(status) => {
-                    if o.json {
-                        println!("{status}");
-                    } else {
-                        print_status(&status);
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "metrics" => {
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            match client.metrics() {
-                Ok(m) => {
-                    if o.json {
-                        println!("{m}");
-                    } else {
-                        print_metrics(&m);
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "fleet" => {
-            if o.peers.is_empty() {
-                eprintln!("error: fleet needs --peers A,B,..");
-                return ExitCode::FAILURE;
-            }
-            let circuit = match submit_spec(o) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let spec = JobSpec {
-                circuit,
-                workers: o.workers,
-                gc_threshold: o.gc_threshold,
-                output_model: o.output_model,
-                collapse: o.collapse,
-                no_random: o.no_random,
-                pp_random: o.pp_random,
-                k: o.k,
-                pattern_budget: o.pattern_budget,
-            };
-            let fc = FleetConfig {
-                peers: o.peers.clone(),
-                chunk: o.fleet_chunk,
-                max_retries: o.fleet_retries,
-                peer_timeout_ms: o.fleet_timeout_ms,
-                backoff_ms: o.fleet_backoff_ms,
-            };
-            let tracing = trace_setup(o);
-            let result = run_fleet(&spec, &fc);
-            match result {
-                Ok(out) => {
-                    trace_finish(tracing, &out.report.circuit);
-                    if o.json {
-                        let body = Json::Obj(vec![
-                            ("report".to_string(), out.report.to_json_value(true)),
-                            ("fleet".to_string(), out.stats.to_json_value()),
-                        ]);
-                        println!("{}", body.render());
-                        return ExitCode::SUCCESS;
-                    }
-                    let r = &out.report;
-                    println!(
-                        "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests",
-                        r.circuit,
-                        r.covered(),
-                        r.total(),
-                        r.coverage(),
-                        r.efficiency(),
-                        r.untestable(),
-                        r.aborted(),
-                        r.tests.len(),
-                    );
-                    let s = &out.stats;
-                    println!(
-                        "fleet: {} peers, {} shards, {} remote verdicts, {} broadcasts relayed, {} retries, {} peer deaths, {} merge fallbacks",
-                        s.peers,
-                        s.shards,
-                        s.remote_verdicts,
-                        s.broadcasts_relayed,
-                        s.retries,
-                        s.peer_deaths,
-                        s.merge_fallbacks,
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    trace_finish(tracing, "fleet");
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "shutdown" => {
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            match client.shutdown() {
-                Ok(()) => {
-                    println!("daemon at {} shutting down", o.addr);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
-    }
-}
-
-/// Builds the circuit spec a `submit` sends: a family, a named
-/// benchmark, or stdin text (`.g` when it uses dot-directives,
-/// `.ckt` otherwise).
-fn submit_spec(o: &Opts) -> Result<CircuitSpec, String> {
+/// The circuit the options name: `--family`, a benchmark, or stdin text
+/// (`.g` when it uses dot-directives, `.ckt` otherwise).
+fn circuit_spec(o: &Opts) -> Result<CircuitSpec, String> {
     if let Some(family) = &o.family {
-        return Ok(CircuitSpec::Family {
-            name: family.clone(),
-            size: o.size.unwrap_or(4),
-        });
+        return Ok(family_spec(family, o.size));
     }
     match o.bench.as_deref() {
         Some("-") => {
@@ -916,8 +228,415 @@ fn submit_spec(o: &Opts) -> Result<CircuitSpec, String> {
             name: name.to_string(),
             style: o.style.clone(),
         }),
-        None => Err("submit needs a benchmark name, `-` (stdin) or --family".to_string()),
+        None => Err("needs a benchmark name, `-` (stdin) or --family".to_string()),
     }
+}
+
+/// The job the options describe — what `submit` and `fleet` send, and
+/// what every local subcommand runs.
+fn job_spec(o: &Opts) -> Result<JobSpec, String> {
+    Ok(JobSpec {
+        circuit: circuit_spec(o)?,
+        workers: o.workers,
+        gc_threshold: o.gc_threshold,
+        output_model: o.output_model,
+        collapse: o.collapse,
+        no_random: o.no_random,
+        pp_random: o.pp_random,
+        k: o.k,
+        pattern_budget: o.pattern_budget,
+    })
+}
+
+/// The job's flow configuration with the local-only settle flags
+/// (`--no-por`, `--settle-cap`, `--settle-threads`) applied on top.
+fn flow_config(o: &Opts, spec: &JobSpec, ckt: &Circuit) -> AtpgConfig {
+    let mut cfg = job_atpg_config(spec, ckt);
+    cfg.cssg.settle_threads = o.settle_threads;
+    if o.no_por {
+        cfg.cssg.por = false;
+        cfg.three_phase.por = false;
+    }
+    if let Some(n) = o.settle_cap {
+        cfg.cssg.settle_cap = CapPolicy::Fixed(n);
+        cfg.three_phase.settle_cap = CapPolicy::Fixed(n);
+    }
+    cfg
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = args.first() else {
+        return usage();
+    };
+    match cmd.as_str() {
+        "list" => {
+            for &n in suite::NAMES {
+                let tag = if suite::is_redundant(n) {
+                    "  (redundant in table 2)"
+                } else {
+                    ""
+                };
+                println!("{n}{tag}");
+            }
+            ExitCode::SUCCESS
+        }
+        "table" => {
+            let (title, style_of): (&str, fn(&str) -> &'static str) =
+                match args.get(1).map(String::as_str) {
+                    Some("1") => ("Table 1 (speed-independent)", |_| "si"),
+                    Some("2") => ("Table 2 (bounded delays)", |n| {
+                        if suite::is_redundant(n) {
+                            "2lr"
+                        } else {
+                            "2l"
+                        }
+                    }),
+                    _ => return usage(),
+                };
+            let rows: Result<Vec<TableRow>, String> = suite::NAMES
+                .iter()
+                .map(|&n| row_for(n, style_of(n)))
+                .collect();
+            match rows {
+                Ok(rows) => {
+                    print!("{}", format_table(title, &rows));
+                    ExitCode::SUCCESS
+                }
+                Err(e) => fail(e),
+            }
+        }
+        "serve" | "status" | "metrics" | "shutdown" => match parse_opts(&args[1..]) {
+            Some(o) => service_command(cmd, &o).unwrap_or_else(fail),
+            None => usage(),
+        },
+        "bench-diff" => {
+            let mut ignore_timing = false;
+            let mut files: Vec<&str> = Vec::new();
+            for a in &args[1..] {
+                match a.as_str() {
+                    "--ignore-timing" => ignore_timing = true,
+                    s if !s.starts_with('-') => files.push(s),
+                    _ => return usage(),
+                }
+            }
+            let [old_path, new_path] = files[..] else {
+                return usage();
+            };
+            match bench_diff(old_path, new_path, ignore_timing) {
+                Ok(0) => ExitCode::SUCCESS,
+                Ok(n) => {
+                    eprintln!("bench-diff: {n} regression(s) over 20%");
+                    ExitCode::FAILURE
+                }
+                Err(e) => fail(e),
+            }
+        }
+        "trace-check" => {
+            let Some(path) = args.get(1) else {
+                return usage();
+            };
+            match trace_check(path) {
+                Ok(summary) => {
+                    println!("{summary}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => fail(e),
+            }
+        }
+        "gen" | "synth" | "dot" | "cssg" | "atpg" | "scan" | "engine" | "submit" | "fleet" => {
+            match parse_opts(&args[1..]) {
+                Some(o) if o.bench.is_some() || o.family.is_some() => {
+                    circuit_command(cmd, &o).unwrap_or_else(fail)
+                }
+                _ => usage(),
+            }
+        }
+        _ => usage(),
+    }
+}
+
+fn fail(e: String) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
+}
+
+/// The subcommands that take a circuit.
+fn circuit_command(cmd: &str, o: &Opts) -> Result<ExitCode, String> {
+    if cmd == "gen" {
+        let family = o.family.as_ref().or(o.bench.as_ref()).expect("checked");
+        print!(
+            "{}",
+            to_ckt(&resolve_circuit(&family_spec(family, o.size))?)
+        );
+        return Ok(ExitCode::SUCCESS);
+    }
+    let spec = job_spec(o)?;
+    if cmd == "submit" || cmd == "fleet" {
+        return remote_command(cmd, o, spec);
+    }
+    let ckt = resolve_circuit(&spec.circuit)?;
+    let cfg = flow_config(o, &spec, &ckt);
+    match cmd {
+        "synth" => {
+            println!("{ckt}");
+            for (gi, g) in ckt.gates().iter().enumerate() {
+                let out = ckt.gate_output(satpg::netlist::GateId(gi as u32));
+                let ins: Vec<&str> = g.inputs.iter().map(|&s| ckt.signal_name(s)).collect();
+                println!(
+                    "  {} = {}({})",
+                    ckt.signal_name(out),
+                    g.kind.name(),
+                    ins.join(", ")
+                );
+            }
+        }
+        "dot" => print!("{}", ckt.to_dot()),
+        "cssg" => {
+            let c = build_cssg_sharded(&ckt, &cfg.cssg, o.cssg_shards.max(1))
+                .map_err(|e| e.to_string())?;
+            println!(
+                "CSSG(k={}): {} stable states, {} edges; pruned {} non-confluent, {} unstable; {} truncated at resource limits",
+                c.k(),
+                c.num_states(),
+                c.num_edges(),
+                c.pruned_nonconfluent(),
+                c.pruned_unstable(),
+                c.pruned_truncated()
+            );
+            let ss = c.settle_stats();
+            println!(
+                "settler: {} state expansions over {} analyses; POR reduced {} expansions, pruned {} branches{}",
+                ss.states_explored,
+                ss.settles,
+                ss.por_states,
+                ss.por_pruned,
+                if cfg.cssg.por { "" } else { " (POR off)" }
+            );
+        }
+        "atpg" | "scan" => {
+            let tracing = trace_setup(o);
+            // The abstraction is built up front (optionally sharded —
+            // structurally identical either way) and reused for the
+            // tester program and the scan analysis below.
+            let t0 = std::time::Instant::now();
+            let cssg = build_cssg_sharded(&ckt, &cfg.cssg, o.cssg_shards.max(1))
+                .map_err(|e| e.to_string())?;
+            let us_cssg = t0.elapsed().as_micros();
+            if cssg.num_edges() == 0 {
+                return Err(CoreError::NoValidVectors.to_string());
+            }
+            let faults = satpg::core::faults_for(&ckt, cfg.fault_model);
+            let result = run_atpg_on(&ckt, &cssg, &faults, &cfg, us_cssg);
+            trace_finish(tracing, ckt.name());
+            let r = result.map_err(|e| e.to_string())?;
+            if cmd == "scan" {
+                print_scan(&ckt, &cssg, &r);
+            } else if o.json {
+                println!("{}", r.to_json());
+            } else {
+                println!("{}, {} us", summary(&r), r.us_total());
+                if o.program {
+                    let mut prog = TestProgram::new(&ckt);
+                    for (i, t) in r.tests.iter().enumerate() {
+                        prog.push_sequence(&ckt, &cssg, format!("test {i}"), t);
+                    }
+                    print!("{prog}");
+                }
+            }
+        }
+        "engine" => {
+            let cfg = EngineConfig {
+                atpg: cfg,
+                workers: o.workers,
+                broadcast: !o.no_broadcast,
+                symbolic_audit: !o.no_audit,
+                gc_threshold: o.gc_threshold,
+                cssg_shards: o.cssg_shards,
+            };
+            let tracing = trace_setup(o);
+            let result = run_engine(&ckt, &cfg);
+            trace_finish(tracing, ckt.name());
+            let out = result.map_err(|e| e.to_string())?;
+            if o.json {
+                println!("{}", out.to_json_value(true).render());
+                return Ok(ExitCode::SUCCESS);
+            }
+            let r = &out.report;
+            println!("{}, {} us", summary(r), r.us_total());
+            println!(
+                "engine: {} workers, {} parallel verdicts, {} merge fallbacks, parallel {} us, merge {} us",
+                out.workers.len(),
+                out.parallel_verdicts,
+                out.merge_fallbacks,
+                out.us_parallel,
+                out.us_merge
+            );
+            for w in &out.workers {
+                println!(
+                    "  worker {}: searched {:>3} (stolen {:>3}), tests {:>3}, drops {:>3}, bdd {} nodes / {} cache ({} clears), gc {} sweeps / {} reclaimed (peak {}), settle {} states / {} por-pruned, busy {} us",
+                    w.worker,
+                    w.searched,
+                    w.stolen,
+                    w.tests_found,
+                    w.broadcast_drops,
+                    w.bdd_nodes,
+                    w.bdd_cache,
+                    w.bdd_cache_clears,
+                    w.bdd_gc_runs,
+                    w.bdd_reclaimed,
+                    w.bdd_peak_unique,
+                    w.settle_states,
+                    w.settle_por_pruned,
+                    w.us_busy
+                );
+            }
+        }
+        _ => unreachable!(),
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The coverage summary line of a campaign report (scripts strip a
+/// trailing `, N us` before diffing runs).
+fn summary(r: &AtpgReport) -> String {
+    format!(
+        "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests",
+        r.circuit,
+        r.covered(),
+        r.total(),
+        r.coverage(),
+        r.efficiency(),
+        r.untestable(),
+        r.aborted(),
+        r.tests.len()
+    )
+}
+
+/// Scan-point candidates: the observation points that would expose the
+/// faults the report leaves undetected.
+fn print_scan(ckt: &Circuit, cssg: &Cssg, report: &AtpgReport) {
+    let analysis = satpg::core::scan_candidates(ckt, cssg, report, &Default::default());
+    println!(
+        "{}: {}/{} undetected; scan candidates:",
+        ckt.name(),
+        report.total() - report.covered(),
+        report.total()
+    );
+    for c in analysis.candidates.iter().take(8) {
+        println!(
+            "  observe {:<12} exposes {:>3} faults",
+            ckt.signal_name(c.signal),
+            c.exposes.len()
+        );
+    }
+    if !analysis.hopeless.is_empty() {
+        println!(
+            "  {} faults exposed by no single point",
+            analysis.hopeless.len()
+        );
+    }
+}
+
+/// `submit` (one job to a daemon) and `fleet` (one campaign across
+/// peer daemons).
+fn remote_command(cmd: &str, o: &Opts, spec: JobSpec) -> Result<ExitCode, String> {
+    if cmd == "submit" {
+        let mut client =
+            Client::connect(&o.serve.addr).map_err(|e| format!("connect {}: {e}", o.serve.addr))?;
+        let quiet = o.json;
+        let out = client
+            .submit_streaming(spec, &mut |ev| {
+                if !quiet {
+                    print_event(ev);
+                }
+            })
+            .map_err(|e| e.to_string())?;
+        if o.json {
+            println!("{}", out.report.render());
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    if o.serve.peers.is_empty() {
+        return Err("fleet needs --peers A,B,..".to_string());
+    }
+    let tracing = trace_setup(o);
+    let result = run_fleet(&spec, &o.serve.fleet_config());
+    let out = match result {
+        Ok(out) => {
+            trace_finish(tracing, &out.report.circuit);
+            out
+        }
+        Err(e) => {
+            trace_finish(tracing, "fleet");
+            return Err(e);
+        }
+    };
+    if o.json {
+        let body = Json::Obj(vec![
+            ("report".to_string(), out.report.to_json_value(true)),
+            ("fleet".to_string(), out.stats.to_json_value()),
+        ]);
+        println!("{}", body.render());
+        return Ok(ExitCode::SUCCESS);
+    }
+    let r = &out.report;
+    println!("{}", summary(r));
+    let s = &out.stats;
+    println!(
+        "fleet: {} peers, {} shards, {} remote verdicts, {} broadcasts relayed, {} retries, {} peer deaths, {} merge fallbacks",
+        s.peers,
+        s.shards,
+        s.remote_verdicts,
+        s.broadcasts_relayed,
+        s.retries,
+        s.peer_deaths,
+        s.merge_fallbacks,
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The `serve` / `status` / `metrics` / `shutdown` commands.
+fn service_command(cmd: &str, o: &Opts) -> Result<ExitCode, String> {
+    let addr = &o.serve.addr;
+    if cmd == "serve" {
+        let cfg = ServeConfig {
+            default_job_workers: o.workers,
+            gc_threshold: o.gc_threshold,
+            ..o.serve.clone()
+        };
+        let server = Server::bind(cfg).map_err(|e| format!("bind {addr}: {e}"))?;
+        // Scripts scrape this line for the ephemeral port.
+        println!("listening on {}", server.local_addr());
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
+        server.run().map_err(|e| e.to_string())?;
+        return Ok(ExitCode::SUCCESS);
+    }
+    let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    match cmd {
+        "status" => {
+            let status = client.status().map_err(|e| e.to_string())?;
+            if o.json {
+                println!("{status}");
+            } else {
+                print_status(&status);
+            }
+        }
+        "metrics" => {
+            let m = client.metrics().map_err(|e| e.to_string())?;
+            if o.json {
+                println!("{m}");
+            } else {
+                print_metrics(&m);
+            }
+        }
+        _ => {
+            client.shutdown().map_err(|e| e.to_string())?;
+            println!("daemon at {addr} shutting down");
+        }
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One human-readable line per streamed event.
@@ -1056,7 +775,7 @@ fn print_status(status: &Json) {
 /// Installs the span collector when `--trace-out` was given; returns
 /// the directory to drain into after the run.
 fn trace_setup(o: &Opts) -> Option<PathBuf> {
-    o.trace_out.as_ref().map(|dir| {
+    o.serve.trace_out.as_ref().map(|dir| {
         satpg::trace::install();
         dir.clone()
     })
@@ -1245,15 +964,16 @@ fn trace_check(path: &str) -> Result<String, String> {
     ))
 }
 
-fn row_for(ckt: &Circuit, name: &str) -> TableRow {
-    let input = run_atpg(ckt, &AtpgConfig::paper()).expect("ATPG runs");
-    let output = run_atpg(
-        ckt,
-        &AtpgConfig {
-            fault_model: FaultModel::OutputStuckAt,
-            ..AtpgConfig::paper()
-        },
-    )
-    .expect("ATPG runs");
-    TableRow::new(name, &output, &input)
+/// One paper-table row: the benchmark under the output and the input
+/// stuck-at model.
+fn row_for(name: &str, style: &str) -> Result<TableRow, String> {
+    let mut spec = JobSpec::new(CircuitSpec::Bench {
+        name: name.to_string(),
+        style: style.to_string(),
+    });
+    let ckt = resolve_circuit(&spec.circuit)?;
+    let input = run_atpg(&ckt, &job_atpg_config(&spec, &ckt)).map_err(|e| e.to_string())?;
+    spec.output_model = true;
+    let output = run_atpg(&ckt, &job_atpg_config(&spec, &ckt)).map_err(|e| e.to_string())?;
+    Ok(TableRow::new(name, &output, &input))
 }
