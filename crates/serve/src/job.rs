@@ -16,11 +16,13 @@ struct Family {
     name: &'static str,
     /// The size `satpg gen` and `--family` build when none is given.
     default_size: usize,
-    /// Accepted sizes.  They are resource guards, not representation
-    /// limits: patterns and states are multi-word, so arbiter widths
-    /// past 63 are legal — such jobs just need an explicit
-    /// `pattern_budget`.  `dme`/`seq` synthesis cost grows steeply with
-    /// size, which is what caps them.
+    /// Accepted sizes.  For `muller`/`arbiter` they are resource
+    /// guards, not representation limits: patterns and states are
+    /// multi-word, so arbiter widths past 63 are legal — such jobs just
+    /// need an explicit `pattern_budget`.  `dme`/`seq` stop where their
+    /// state graph does (128 places: 21 ring cells, 63 stages; 64
+    /// signals), and `satpg gen` builds either top size in well under
+    /// 100 ms.
     sizes: RangeInclusive<usize>,
 }
 
@@ -40,12 +42,12 @@ const FAMILIES: [Family; 4] = [
     Family {
         name: "dme",
         default_size: 3,
-        sizes: 2..=6,
+        sizes: 2..=21,
     },
     Family {
         name: "seq",
         default_size: 4,
-        sizes: 1..=15,
+        sizes: 1..=63,
     },
 ];
 

@@ -1,12 +1,14 @@
-//! Two-level logic minimization: Quine–McCluskey prime generation and
-//! greedy covering, with don't-care support.
+//! Two-level logic minimization: exact prime generation against the
+//! OFF-set and greedy covering.
 //!
-//! Sized for controller synthesis: up to 16 variables (the benchmark
-//! suite stays well below that).  The cover is *irredundant by
-//! construction of the greedy pass* but globally minimal only for small
-//! functions — exactly the fidelity class of the original flow.
-
-use std::collections::{HashMap, HashSet};
+//! A function is given by its ON and OFF points; every other code is a
+//! don't-care.  For a state graph the OFF points are the reachable codes
+//! whose next value is 0, so the cost follows the reachable states, not
+//! the 2^n code space, and cubes over up to 64 variables fit a `u64`.
+//! The primes generated are exactly the primes that touch ON — the only
+//! ones a cover can use.  The cover is *irredundant by construction of
+//! the greedy pass* but globally minimal only for small functions —
+//! exactly the fidelity class of the original flow.
 
 /// A cube over `n` variables: `mask` bit set ⇒ the variable appears as a
 /// literal, with polarity given by the corresponding `val` bit.
@@ -19,15 +21,6 @@ pub struct Cube {
 }
 
 impl Cube {
-    /// The minterm cube of `point`.
-    pub fn minterm(point: u64, n: usize) -> Cube {
-        let mask = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        Cube {
-            mask,
-            val: point & mask,
-        }
-    }
-
     /// Whether the cube contains `point`.
     #[inline]
     pub fn contains(&self, point: u64) -> bool {
@@ -92,100 +85,165 @@ impl Cover {
     }
 }
 
-/// Minimizes a function given by its ON-set and DC-set minterms over `n`
-/// variables (`n ≤ 16`): Quine–McCluskey primes, essential-prime
-/// extraction, then greedy set cover of the remaining ON-set.
+/// The most primes one function may have, and the largest working
+/// family of the transversal search.  Prime counts are exponential in
+/// the worst case — `k` OFF points whose differences from one ON point
+/// are disjoint pairs give `2^k` primes through it — and specifications
+/// arrive from outside the program.
+pub const MAX_PRIMES: usize = 1 << 20;
+
+/// Minimizes a function given by its ON and OFF points over `n`
+/// variables (`n ≤ 64`; every other code is a don't-care): the primes
+/// that touch ON, essential-prime extraction, greedy set cover of the
+/// remaining ON points, then an irredundancy pass.
 ///
 /// # Panics
 ///
-/// Panics if `n > 16`, if ON ∩ DC ≠ ∅, or if a point exceeds `n` bits.
-pub fn minimize(on: &[u64], dc: &[u64], n: usize) -> Cover {
-    assert!(n <= 16, "minimizer sized for ≤ 16 variables");
+/// Panics if `n > 64`, if ON ∩ OFF ≠ ∅, if a point exceeds `n` bits, or
+/// if the function has more than [`MAX_PRIMES`] primes.
+pub fn minimize(on: &[u64], off: &[u64], n: usize) -> Cover {
+    cover_with(on, off, n, false).expect("too many primes").0
+}
+
+/// Returns **all** prime implicants that cover at least one ON point —
+/// the canonical redundant two-level form (every prime that matters, not
+/// just a minimal cover).  Hazard-free two-level synthesis must keep a
+/// cube for every required SIC transition, which pushes covers toward
+/// this prime closure; the extra cubes are logically redundant and their
+/// fault sites untestable.  A function that one cube covers keeps just
+/// that cube.
+///
+/// # Panics
+///
+/// Same conditions as [`minimize`].
+pub fn all_primes(on: &[u64], off: &[u64], n: usize) -> Cover {
+    cover_with(on, off, n, true).expect("too many primes").0
+}
+
+/// The minimal cover — or with `all` the primes touching ON, unless one
+/// cube covers the function — and the number of primes generated;
+/// `None` past [`MAX_PRIMES`].
+pub(crate) fn cover_with(on: &[u64], off: &[u64], n: usize, all: bool) -> Option<(Cover, usize)> {
+    assert!(n <= 64, "cubes hold at most 64 variables");
     let full = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-    let on_set: HashSet<u64> = on.iter().map(|&p| p & full).collect();
-    let dc_set: HashSet<u64> = dc.iter().map(|&p| p & full).collect();
-    assert!(
-        on_set.is_disjoint(&dc_set),
-        "ON and DC sets must be disjoint"
-    );
-    for &p in on.iter().chain(dc) {
+    for &p in on.iter().chain(off) {
         assert!(p & !full == 0, "point {p:#x} exceeds {n} variables");
     }
-    if on_set.is_empty() {
-        return Cover::default();
+    let sorted = |points: &[u64]| {
+        let mut v = points.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        v
+    };
+    let (on, off) = (sorted(on), sorted(off));
+    assert!(
+        !on.iter().any(|p| off.binary_search(p).is_ok()),
+        "ON and OFF sets must be disjoint"
+    );
+    if on.is_empty() {
+        return Some((Cover::default(), 0));
     }
-    if on_set.len() + dc_set.len() == (1usize << n) {
+    if off.is_empty() {
         // Constant 1: the empty cube.
-        return Cover {
-            cubes: vec![Cube { mask: 0, val: 0 }],
-        };
+        let one = Cube { mask: 0, val: 0 };
+        return Some((Cover { cubes: vec![one] }, 1));
     }
-
-    // --- Prime generation (iterative merging). ---
-    let mut current: HashSet<Cube> = on_set
-        .iter()
-        .chain(dc_set.iter())
-        .map(|&p| Cube::minterm(p, n))
-        .collect();
+    // The primes through `m` minus those through an earlier ON point:
+    // each prime is generated once, at the first ON point it contains.
+    // The nearest earlier points are the likeliest inside, so they are
+    // tried first.
     let mut primes: Vec<Cube> = Vec::new();
-    while !current.is_empty() {
-        let mut merged: HashSet<Cube> = HashSet::new();
-        let mut was_merged: HashSet<Cube> = HashSet::new();
-        // Group by mask to merge only compatible cubes.
-        let mut by_mask: HashMap<u64, Vec<Cube>> = HashMap::new();
-        for &c in &current {
-            by_mask.entry(c.mask).or_default().push(c);
+    for (i, &m) in on.iter().enumerate() {
+        let edges = off.iter().map(|&o| m ^ o).collect();
+        for t in minimal_transversals(edges)? {
+            if on[..i].iter().rev().all(|&p| (p ^ m) & t != 0) {
+                primes.push(Cube {
+                    mask: t,
+                    val: m & t,
+                });
+            }
         }
-        for group in by_mask.values() {
-            for (i, a) in group.iter().enumerate() {
-                for b in &group[i + 1..] {
-                    let diff = a.val ^ b.val;
-                    if diff.count_ones() == 1 {
-                        merged.insert(Cube {
-                            mask: a.mask & !diff,
-                            val: a.val & !diff,
-                        });
-                        was_merged.insert(*a);
-                        was_merged.insert(*b);
-                    }
+        if primes.len() > MAX_PRIMES {
+            return None;
+        }
+    }
+    primes.sort_unstable();
+    let count = primes.len();
+    let minimal = select(&primes, &on);
+    Some(if all && minimal.cubes.len() > 1 {
+        (Cover { cubes: primes }, count)
+    } else {
+        (minimal, count)
+    })
+}
+
+/// The minimal variable sets hitting every edge, by Berge's incremental
+/// algorithm.  With the edges `m ^ o` for every OFF point `o`, a set `T`
+/// is a transversal iff the cube `(T, m & T)` through `m` avoids OFF,
+/// so the minimal ones give exactly the primes through `m`.  `None` once
+/// the family outgrows [`MAX_PRIMES`].
+fn minimal_transversals(mut edges: Vec<u64>) -> Option<Vec<u64>> {
+    // An edge that contains another is hit by every set hitting the
+    // smaller one: keep only the inclusion-minimal edges.
+    edges.sort_unstable_by_key(|e| (e.count_ones(), *e));
+    let mut minimal: Vec<u64> = Vec::new();
+    for e in edges {
+        if !minimal.iter().any(|&k| k & !e == 0) {
+            minimal.push(e);
+        }
+    }
+    let mut family = vec![0u64];
+    for e in minimal {
+        let (mut next, missed): (Vec<u64>, Vec<u64>) =
+            family.into_iter().partition(|&t| t & e != 0);
+        // Extending a missed set by one variable of `e` is minimal
+        // unless a set that already hits `e` is inside it: two
+        // extensions never contain each other, and a hitting set never
+        // contains an extension, since the family is an antichain.
+        let hitting = next.len();
+        for t in missed {
+            let mut bits = e;
+            while bits != 0 {
+                let grown = t | (bits & bits.wrapping_neg());
+                bits &= bits - 1;
+                if !next[..hitting].iter().any(|&h| h & !grown == 0) {
+                    next.push(grown);
                 }
             }
         }
-        for &c in &current {
-            if !was_merged.contains(&c) {
-                primes.push(c);
+        if next.len() > MAX_PRIMES {
+            return None;
+        }
+        family = next;
+    }
+    Some(family)
+}
+
+/// The covering step over `primes` (sorted) for the sorted `on`
+/// points: essential primes, then greedy picks, then an irredundancy
+/// pass.
+fn select(primes: &[Cube], on: &[u64]) -> Cover {
+    // Essential primes: an ON point covered by exactly one prime.
+    let mut chosen: Vec<Cube> = on
+        .iter()
+        .filter_map(|&p| {
+            let mut covering = primes.iter().filter(|c| c.contains(p));
+            match (covering.next(), covering.next()) {
+                (Some(c), None) => Some(*c),
+                _ => None,
             }
-        }
-        current = merged;
-    }
-    primes.sort_unstable();
-    primes.dedup();
-
-    // --- Covering. ---
-    let mut uncovered: Vec<u64> = {
-        let mut v: Vec<u64> = on_set.iter().copied().collect();
-        v.sort_unstable();
-        v
-    };
-    let mut chosen: Vec<Cube> = Vec::new();
-
-    // Essential primes: an ON-minterm covered by exactly one prime.
-    let mut essential: HashSet<Cube> = HashSet::new();
-    for &p in &uncovered {
-        let covering: Vec<&Cube> = primes.iter().filter(|c| c.contains(p)).collect();
-        if covering.len() == 1 {
-            essential.insert(*covering[0]);
-        }
-    }
-    for c in &essential {
-        chosen.push(*c);
-    }
-    uncovered.retain(|&p| !chosen.iter().any(|c| c.contains(p)));
+        })
+        .collect();
+    let mut uncovered: Vec<u64> = on
+        .iter()
+        .copied()
+        .filter(|&p| !chosen.iter().any(|c| c.contains(p)))
+        .collect();
 
     // Greedy: repeatedly take the prime covering the most remaining
-    // minterms (ties: fewer literals, then lexicographic for determinism).
+    // points (ties: fewer literals, then lexicographic for determinism).
     while !uncovered.is_empty() {
-        let best = primes
+        let (gain, _, std::cmp::Reverse(cube)) = primes
             .iter()
             .map(|c| {
                 let gain = uncovered.iter().filter(|&&p| c.contains(p)).count();
@@ -197,8 +255,7 @@ pub fn minimize(on: &[u64], dc: &[u64], n: usize) -> Cover {
             })
             .max()
             .expect("primes nonempty when ON nonempty");
-        let cube = best.2 .0;
-        assert!(best.0 > 0, "no prime covers a remaining ON minterm");
+        assert!(gain > 0, "no prime covers a remaining ON point");
         chosen.push(cube);
         uncovered.retain(|&p| !cube.contains(p));
     }
@@ -208,113 +265,34 @@ pub fn minimize(on: &[u64], dc: &[u64], n: usize) -> Cover {
     // Final irredundancy pass: greedy choices can make earlier picks
     // redundant; drop any cube whose ON points are covered by the rest
     // (largest cubes first for determinism).
-    let on_vec: Vec<u64> = on_set.iter().copied().collect();
-    loop {
-        let removable = (0..chosen.len()).find(|&i| {
-            on_vec.iter().all(|&p| {
-                !chosen[i].contains(p)
-                    || chosen
-                        .iter()
-                        .enumerate()
-                        .any(|(j, c)| j != i && c.contains(p))
-            })
-        });
-        match removable {
-            Some(i) => {
-                chosen.remove(i);
-            }
-            None => break,
-        }
+    while let Some(i) = (0..chosen.len()).find(|&i| {
+        on.iter().all(|&p| {
+            !chosen[i].contains(p)
+                || chosen
+                    .iter()
+                    .enumerate()
+                    .any(|(j, c)| j != i && c.contains(p))
+        })
+    }) {
+        chosen.remove(i);
     }
     Cover { cubes: chosen }
 }
 
-/// Returns **all** prime implicants that cover at least one ON minterm —
-/// the canonical redundant two-level form (every prime that matters, not
-/// just a minimal cover).  Hazard-free two-level synthesis must keep a
-/// cube for every required SIC transition, which pushes covers toward
-/// this prime closure; the extra cubes are logically redundant and their
-/// fault sites untestable.
-///
-/// # Panics
-///
-/// Same conditions as [`minimize`].
-pub fn all_primes(on: &[u64], dc: &[u64], n: usize) -> Cover {
-    let minimal = minimize(on, dc, n);
-    if minimal.cubes.len() <= 1 {
-        return minimal;
-    }
-    // Re-run prime generation (minimize discards the full list).
-    assert!(n <= 16);
-    let full = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-    let on_set: HashSet<u64> = on.iter().map(|&p| p & full).collect();
-    let dc_set: HashSet<u64> = dc.iter().map(|&p| p & full).collect();
-    let mut current: HashSet<Cube> = on_set
-        .iter()
-        .chain(dc_set.iter())
-        .map(|&p| Cube::minterm(p, n))
-        .collect();
-    let mut primes: Vec<Cube> = Vec::new();
-    while !current.is_empty() {
-        let mut merged: HashSet<Cube> = HashSet::new();
-        let mut was_merged: HashSet<Cube> = HashSet::new();
-        let mut by_mask: HashMap<u64, Vec<Cube>> = HashMap::new();
-        for &c in &current {
-            by_mask.entry(c.mask).or_default().push(c);
-        }
-        for group in by_mask.values() {
-            for (i, a) in group.iter().enumerate() {
-                for b in &group[i + 1..] {
-                    let diff = a.val ^ b.val;
-                    if diff.count_ones() == 1 {
-                        merged.insert(Cube {
-                            mask: a.mask & !diff,
-                            val: a.val & !diff,
-                        });
-                        was_merged.insert(*a);
-                        was_merged.insert(*b);
-                    }
-                }
-            }
-        }
-        for &c in &current {
-            if !was_merged.contains(&c) {
-                primes.push(c);
-            }
-        }
-        current = merged;
-    }
-    let mut cubes: Vec<Cube> = primes
-        .into_iter()
-        .filter(|c| on_set.iter().any(|&p| c.contains(p)))
-        .collect();
-    cubes.sort_unstable();
-    cubes.dedup();
-    Cover { cubes }
-}
-
-/// Verifies that `cover` equals the incompletely-specified function:
-/// contains every ON point, excludes every OFF point (`off` = complement
-/// of ON ∪ DC).
-pub fn verify(cover: &Cover, on: &[u64], dc: &[u64], n: usize) -> bool {
-    let full = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-    let dc_set: HashSet<u64> = dc.iter().map(|&p| p & full).collect();
-    let on_set: HashSet<u64> = on.iter().map(|&p| p & full).collect();
-    for p in 0..=full {
-        let c = cover.contains(p);
-        if on_set.contains(&p) && !c {
-            return false;
-        }
-        if !on_set.contains(&p) && !dc_set.contains(&p) && c {
-            return false;
-        }
-    }
-    true
+/// Verifies that `cover` realizes the incompletely-specified function:
+/// contains every ON point and no OFF point.
+pub fn verify(cover: &Cover, on: &[u64], off: &[u64]) -> bool {
+    on.iter().all(|&p| cover.contains(p)) && !off.iter().any(|&p| cover.contains(p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every `n`-bit point outside `on`.
+    fn complement(on: &[u64], n: usize) -> Vec<u64> {
+        (0..1u64 << n).filter(|p| !on.contains(p)).collect()
+    }
 
     #[test]
     fn cube_basics() {
@@ -373,17 +351,17 @@ mod tests {
     #[test]
     fn minimize_xor_needs_two_cubes() {
         // XOR has no DC and no merging: two minterm cubes.
-        let on = [0b01u64, 0b10];
-        let cover = minimize(&on, &[], 2);
+        let (on, off) = ([0b01u64, 0b10], [0b00u64, 0b11]);
+        let cover = minimize(&on, &off, 2);
         assert_eq!(cover.cubes.len(), 2);
-        assert!(verify(&cover, &on, &[], 2));
+        assert!(verify(&cover, &on, &off));
     }
 
     #[test]
     fn minimize_with_dont_cares_collapses() {
-        // ON = {11}, DC = {01, 10}: a single 1-literal cube suffices.
-        let cover = minimize(&[0b11], &[0b01, 0b10], 2);
-        assert!(verify(&cover, &[0b11], &[0b01, 0b10], 2));
+        // ON = {11}, OFF = {00}: a single 1-literal cube suffices.
+        let cover = minimize(&[0b11], &[0b00], 2);
+        assert!(verify(&cover, &[0b11], &[0b00]));
         assert_eq!(cover.cubes.len(), 1);
         assert!(cover.cubes[0].num_literals() <= 1);
     }
@@ -398,6 +376,7 @@ mod tests {
     #[test]
     fn minimize_empty_on() {
         assert!(minimize(&[], &[0b1], 1).cubes.is_empty());
+        assert!(all_primes(&[], &[0b1], 1).cubes.is_empty());
     }
 
     #[test]
@@ -410,8 +389,9 @@ mod tests {
                 on.push(p);
             }
         }
-        let cover = minimize(&on, &[], 3);
-        assert!(verify(&cover, &on, &[], 3));
+        let off = complement(&on, 3);
+        let cover = minimize(&on, &off, 3);
+        assert!(verify(&cover, &on, &off));
         assert_eq!(cover.cubes.len(), 3, "ab, ay, by");
         for c in &cover.cubes {
             assert_eq!(c.num_literals(), 2);
@@ -422,14 +402,15 @@ mod tests {
     fn majority_of_five_is_exact() {
         let n = 5;
         let on: Vec<u64> = (0..32u64).filter(|p| p.count_ones() >= 3).collect();
-        let cover = minimize(&on, &[], n);
-        assert!(verify(&cover, &on, &[], n));
+        let off = complement(&on, n);
+        let cover = minimize(&on, &off, n);
+        assert!(verify(&cover, &on, &off));
         assert_eq!(cover.cubes.len(), 10, "C(5,3) three-literal primes");
     }
 
     #[test]
     #[should_panic(expected = "disjoint")]
-    fn overlapping_on_dc_rejected() {
+    fn overlapping_on_off_rejected() {
         minimize(&[1], &[1], 2);
     }
 
@@ -442,11 +423,12 @@ mod tests {
                 (a && b) || (!a && c)
             })
             .collect();
-        let min = minimize(&on, &[], 3);
-        let all = all_primes(&on, &[], 3);
+        let off = complement(&on, 3);
+        let min = minimize(&on, &off, 3);
+        let all = all_primes(&on, &off, 3);
         assert_eq!(min.cubes.len(), 2);
         assert_eq!(all.cubes.len(), 3, "includes the redundant consensus");
-        assert!(verify(&all, &on, &[], 3), "function unchanged");
+        assert!(verify(&all, &on, &off), "function unchanged");
         for c in &min.cubes {
             assert!(all.cubes.contains(c));
         }

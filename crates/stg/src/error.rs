@@ -57,9 +57,10 @@ pub enum StgError {
     },
     /// The STG has no output signals to synthesize.
     NoOutputs,
-    /// Too many signals or places for the fixed-width internal encodings.
+    /// Too many signals or places for the fixed-width internal
+    /// encodings, or too many primes for synthesis.
     TooLarge {
-        /// What overflowed (`"signals"` or `"places"`).
+        /// What overflowed (`"signals"`, `"places"` or `"primes"`).
         what: &'static str,
         /// The limit.
         limit: usize,

@@ -67,11 +67,11 @@ pub fn sequencer(stages: usize) -> Result<Stg> {
 ///
 /// # Panics
 ///
-/// Panics if `cells < 2` (a one-cell ring degenerates) or `cells > 6`
-/// (the synthesis backends bound specifications at 16 signals, and the
-/// two-level cover enumeration grows steeply past 13).
+/// Panics if `cells < 2` (a one-cell ring degenerates) or `cells > 21`
+/// (each cell has six places, and a [`StateGraph`](crate::StateGraph)
+/// holds at most 128).
 pub fn dme_ring_source(cells: usize) -> String {
-    assert!((2..=6).contains(&cells), "dme_ring supports 2..=6 cells");
+    assert!((2..=21).contains(&cells), "dme_ring supports 2..=21 cells");
     let mut out = String::new();
     let _ = writeln!(out, "# generated: {cells}-cell DME token ring");
     let _ = writeln!(out, ".model dme-gen{cells}");
@@ -179,8 +179,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "2..=6")]
+    #[should_panic(expected = "2..=21")]
     fn oversized_ring_is_rejected() {
-        dme_ring_source(8);
+        dme_ring_source(22);
     }
 }

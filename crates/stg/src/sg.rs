@@ -38,6 +38,7 @@ impl StateGraph {
 
     /// Like [`StateGraph::build`] with an explicit state budget.
     pub fn build_bounded(stg: &Stg, max_states: usize) -> Result<Self> {
+        let mut span = satpg_trace::span!("stg.sg", signals = stg.num_signals());
         if stg.num_signals() > 64 {
             return Err(StgError::TooLarge {
                 what: "signals",
@@ -112,6 +113,7 @@ impl StateGraph {
                 edges[si].push((t, ni));
             }
         }
+        span.arg("states", states.len());
         Ok(StateGraph {
             states,
             edges,

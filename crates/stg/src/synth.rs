@@ -15,7 +15,7 @@
 //!   pulses, and precisely the redundancy the paper blames for the
 //!   untestable faults of `trimos-send`, `vbe10b` and `vbe6a`.
 
-use crate::cover::{minimize, Cover, Cube};
+use crate::cover::{cover_with, Cover, Cube, MAX_PRIMES};
 use crate::csc::check_csc;
 use crate::error::StgError;
 use crate::model::{SignalClass, SignalIdx, Stg};
@@ -55,43 +55,53 @@ pub fn next_state_covers(stg: &Stg, sg: &StateGraph) -> Result<Vec<(SignalIdx, C
 
 /// Like [`next_state_covers`], but optionally returning the full prime
 /// closure per signal instead of a minimal cover.
+///
+/// Each function is given by the reachable codes alone — ON where the
+/// signal's next value is 1, OFF where it is 0 — so the unreachable
+/// codes are don't-cares that are never enumerated.
 pub fn next_state_covers_with(
     stg: &Stg,
     sg: &StateGraph,
     full_primes: bool,
 ) -> Result<Vec<(SignalIdx, Cover)>> {
+    let n = stg.num_signals();
+    let mut span = satpg_trace::span!("stg.synth", signals = n);
     check_csc(stg, sg)?;
     let non_inputs = stg.non_input_signals();
     if non_inputs.is_empty() {
         return Err(StgError::NoOutputs);
     }
-    if stg.num_signals() > 16 {
-        return Err(StgError::TooLarge {
-            what: "signals",
-            limit: 16,
-        });
-    }
-    let n = stg.num_signals();
-    let reachable: HashSet<u64> = sg.states().iter().map(|s| s.code).collect();
+    // One state per code: under CSC it decides every next value.
+    let mut seen: HashSet<u64> = HashSet::new();
+    let states: Vec<usize> = (0..sg.states().len())
+        .filter(|&i| seen.insert(sg.states()[i].code))
+        .collect();
+    let (mut on_points, mut primes) = (0, 0);
     let mut out = Vec::new();
     for &s in &non_inputs {
-        let mut on: Vec<u64> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for (i, st) in sg.states().iter().enumerate() {
-            if seen.insert(st.code) && sg.next_value(stg, i, s) {
-                on.push(st.code);
+        let (mut on, mut off) = (Vec::new(), Vec::new());
+        for &i in &states {
+            let code = sg.states()[i].code;
+            if sg.next_value(stg, i, s) {
+                on.push(code);
+            } else {
+                off.push(code);
             }
         }
-        let dc: Vec<u64> = (0..(1u64 << n))
-            .filter(|c| !reachable.contains(c))
-            .collect();
-        let cover = if full_primes {
-            crate::cover::all_primes(&on, &dc, n)
-        } else {
-            minimize(&on, &dc, n)
-        };
+        let (cover, count) = cover_with(&on, &off, n, full_primes).ok_or(StgError::TooLarge {
+            what: "primes",
+            limit: MAX_PRIMES,
+        })?;
+        on_points += on.len();
+        primes += count;
         out.push((s, cover));
     }
+    satpg_trace::metrics()
+        .counter("stg.primes")
+        .add(primes as u64);
+    span.arg("on", on_points);
+    span.arg("off", non_inputs.len() * states.len() - on_points);
+    span.arg("primes", primes);
     Ok(out)
 }
 

@@ -34,6 +34,19 @@ fn escape(s: &str) -> String {
     out
 }
 
+fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
+    for (k, v) in args {
+        match v {
+            ArgValue::Int(i) => {
+                let _ = write!(out, ",\"{}\":{}", escape(k), i);
+            }
+            ArgValue::Str(s) => {
+                let _ = write!(out, ",\"{}\":\"{}\"", escape(k), escape(s));
+            }
+        }
+    }
+}
+
 fn push_begin(out: &mut String, ev: &TraceEvent) {
     let _ = write!(
         out,
@@ -44,24 +57,20 @@ fn push_begin(out: &mut String, ev: &TraceEvent) {
         ev.id,
         ev.parent
     );
-    for (k, v) in &ev.args {
-        match v {
-            ArgValue::Int(i) => {
-                let _ = write!(out, ",\"{}\":{}", escape(k), i);
-            }
-            ArgValue::Str(s) => {
-                let _ = write!(out, ",\"{}\":\"{}\"", escape(k), escape(s));
-            }
-        }
-    }
+    push_args(out, &ev.args);
     out.push_str("}}");
 }
 
-fn push_end(out: &mut String, tid: u64, ts_us: u64) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us}}}"
-    );
+/// An End event; `args` (attached at close) are merged into the span's
+/// by trace viewers.
+fn push_end(out: &mut String, tid: u64, ts_us: u64, args: &[(&'static str, ArgValue)]) {
+    let _ = write!(out, "{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us}");
+    let mut fields = String::new();
+    push_args(&mut fields, args);
+    if let Some(fields) = fields.strip_prefix(',') {
+        let _ = write!(out, ",\"args\":{{{fields}}}");
+    }
+    out.push('}');
 }
 
 /// Renders events (as returned by
@@ -97,10 +106,11 @@ pub fn render(events: &[TraceEvent], process_name: &str) -> String {
                         // Ends between `pos` and the top belong to
                         // spans that outlived this drain; close them
                         // synthetically so nesting stays balanced.
-                        for _ in pos..open.len() {
+                        while open.len() > pos {
                             open.pop();
+                            let args: &[_] = if open.len() == pos { &ev.args } else { &[] };
                             out.push_str(",\n");
-                            push_end(&mut out, tid, ev.ts_us);
+                            push_end(&mut out, tid, ev.ts_us, args);
                         }
                     }
                 }
@@ -109,7 +119,7 @@ pub fn render(events: &[TraceEvent], process_name: &str) -> String {
         // Spans still open at drain time: synthesize their ends.
         for _ in 0..open.len() {
             out.push_str(",\n");
-            push_end(&mut out, tid, last_ts);
+            push_end(&mut out, tid, last_ts, &[]);
         }
     }
     out.push_str("\n]}\n");

@@ -6,7 +6,8 @@
 //! global slot.
 
 use satpg_trace::{
-    chrome, current_span_id, enabled, install, span, uninstall, EventKind, Span, TraceEvent,
+    chrome, current_span_id, enabled, install, span, uninstall, ArgValue, EventKind, Span,
+    TraceEvent,
 };
 use std::sync::Mutex;
 
@@ -135,4 +136,41 @@ fn chrome_export_is_balanced_and_loads_as_json() {
     );
     assert!(s.contains("\"label\":\"muller\""), "{s}");
     assert!(s.contains("\"traceEvents\""));
+}
+
+#[test]
+fn close_time_args_land_on_the_end_event() {
+    let _g = lock();
+    let c = install();
+    {
+        let mut outer = span!("t.counted", signals = 5);
+        {
+            let _inner = span!("t.counted.inner");
+        }
+        outer.arg("primes", 42usize);
+        outer.arg("label", "done");
+    }
+    uninstall();
+    let events = c.drain();
+    let end = events.iter().rev().find(|e| e.name == "t.counted").unwrap();
+    assert_eq!(end.kind, EventKind::End);
+    assert_eq!(
+        end.args,
+        vec![
+            ("primes", ArgValue::Int(42)),
+            ("label", ArgValue::Str("done".into()))
+        ]
+    );
+    let s = chrome::render(&events, "satpg-test");
+    assert!(
+        s.contains("{\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":")
+            && s.contains(",\"args\":{\"primes\":42,\"label\":\"done\"}}"),
+        "{s}"
+    );
+    // The inner span's end carries no args object.
+    assert_eq!(s.matches("\"args\":{\"primes\"").count(), 1);
+
+    // Disabled spans ignore close-time args.
+    let mut off = span!("t.off");
+    off.arg("n", 1u8);
 }
