@@ -127,6 +127,9 @@ pub fn three_phase(
 
 /// [`three_phase`] returning the settling-engine counters alongside the
 /// verdict (the engine workers aggregate them into their telemetry).
+///
+/// Each search is one `three_phase` span, closed with the number of
+/// product nodes it created (`nodes`) and its `verdict`.
 pub fn three_phase_traced(
     ckt: &Circuit,
     cssg: &Cssg,
@@ -136,39 +139,48 @@ pub fn three_phase_traced(
     // --- Phase 1: fault activation (§5.1) — informational: the set of
     // exciting stable states prioritizes nothing in a BFS, and an empty
     // set does not disprove testability (pulse-only signals).
+    let mut span = satpg_trace::span!("three_phase", fault = fault.to_string());
     let inj = fault.injection();
     let scfg = SettlerConfig {
         k: cssg.k(),
         cap: cfg.settle_cap,
         por: cfg.por,
         ternary_fast_path: true,
-        threads: 1,
     };
     let mut settler = Settler::new(ckt, &inj, &scfg);
-    let status = three_phase_inner(ckt, cssg, cfg, &mut settler);
+    let (status, nodes) = three_phase_inner(ckt, cssg, cfg, &mut settler);
+    span.arg("nodes", nodes);
+    span.arg(
+        "verdict",
+        match status {
+            FaultStatus::Detected { .. } => "detected",
+            FaultStatus::Untestable(_) => "untestable",
+            FaultStatus::Aborted => "aborted",
+        },
+    );
     let stats = settler.take_stats();
     (status, stats)
 }
 
-/// The product BFS, generic over the settling engine instance.
+/// The product BFS, generic over the settling engine instance: the
+/// verdict and the number of product nodes created.
 fn three_phase_inner(
     ckt: &Circuit,
     cssg: &Cssg,
     cfg: &ThreePhaseConfig,
     settler: &mut Settler,
-) -> FaultStatus {
+) -> (FaultStatus, usize) {
     // --- Phases 2+3: product BFS (justification + differentiation). ---
     let s0 = &cssg.states()[cssg.initial()];
     let Some(f0) = settler
         .settle_set(&BTreeSet::from([s0.clone()]), ckt.input_pattern(s0))
         .ok()
     else {
-        return FaultStatus::Aborted;
+        return (FaultStatus::Aborted, 0);
     };
     if guaranteed_mismatch(ckt, s0, &f0) {
-        return FaultStatus::Detected {
-            sequence: TestSequence::default(),
-        };
+        let sequence = TestSequence::default();
+        return (FaultStatus::Detected { sequence }, 0);
     }
 
     struct Node {
@@ -214,14 +226,13 @@ fn three_phase_inner(
                     cur = nodes[cur].parent;
                 }
                 patterns.reverse();
-                return FaultStatus::Detected {
-                    sequence: TestSequence { patterns },
-                };
+                let sequence = TestSequence { patterns };
+                return (FaultStatus::Detected { sequence }, nodes.len());
             }
             let key = key_of(gsucc, &fsucc);
             if visited.insert(key) {
                 if nodes.len() >= cfg.max_nodes {
-                    return FaultStatus::Aborted;
+                    return (FaultStatus::Aborted, nodes.len());
                 }
                 nodes.push(Node {
                     good: gsucc,
@@ -234,11 +245,12 @@ fn three_phase_inner(
             }
         }
     }
-    if truncated {
+    let status = if truncated {
         FaultStatus::Aborted
     } else {
         FaultStatus::Untestable(UntestableReason::NoDistinguishingSequence)
-    }
+    };
+    (status, nodes.len())
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@ impl Bits {
         b
     }
 
-    /// Parses a `0`/`1` string, most significant position first rejected:
-    /// position 0 of the string is bit 0.
+    /// Parses a `0`/`1` string in bit order: character `i` of the
+    /// string is bit `i` (no most-significant-first reversal).
     ///
     /// # Errors
     ///

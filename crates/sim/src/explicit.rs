@@ -57,15 +57,14 @@ impl ExplicitConfig {
         }
     }
 
-    /// The equivalent [`SettlerConfig`]: fixed cap, POR off, serial —
-    /// the exact legacy walk.
+    /// The equivalent [`SettlerConfig`]: fixed cap, POR off — the exact
+    /// legacy walk.
     pub fn settler(&self) -> SettlerConfig {
         SettlerConfig {
             k: self.k,
             cap: CapPolicy::Fixed(self.max_states),
             por: false,
             ternary_fast_path: self.ternary_fast_path,
-            threads: 1,
         }
     }
 }

@@ -34,4 +34,5 @@ pub use parallel::{
     parallel_settle, parallel_settle_patterns, ParallelInjection, PlaneState, LANES,
 };
 pub use settler::{CapPolicy, SetSettle, Settle, SettleStats, Settler, SettlerConfig};
-pub use ternary::{ternary_settle, ternary_settle_from, TernaryOutcome, Trit, TritVec};
+pub use ternary::{eval_gate_ternary, ternary_settle, ternary_settle_from};
+pub use ternary::{TernaryOutcome, Trit, TritVec};

@@ -8,7 +8,7 @@
 //! for random TPG and fault simulation.
 
 use crate::inject::{Injection, Site};
-use crate::ternary::Trit;
+use crate::ternary::{Trit, Worklist};
 use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern, Pattern};
 
 /// Number of machines simulated per pass.
@@ -287,26 +287,29 @@ fn eval_gate_planes(ckt: &Circuit, g: GateId, st: &PlaneState, inj: &ParallelInj
     f.force(m1, true).force(m0, false)
 }
 
-fn fixpoint_planes(ckt: &Circuit, st: &mut PlaneState, inj: &ParallelInjection, lub: bool) {
-    let bound = 2 * LANES * 2 + 2 * ckt.num_state_bits() + 2;
-    for _ in 0..bound {
-        let mut changed = false;
-        for i in 0..ckt.num_gates() {
-            let g = GateId(i as u32);
-            let out = ckt.gate_output(g).index();
-            let cur = st.planes[out];
-            let eval = eval_gate_planes(ckt, g, st, inj);
-            let next = if lub { cur.lub(eval) } else { eval };
-            if next != cur {
-                st.planes[out] = next;
-                changed = true;
-            }
-        }
-        if !changed {
-            return;
-        }
-    }
-    unreachable!("parallel ternary fixpoint did not converge");
+/// Algorithms A then B over every lane, on the scalar engine's event
+/// queue: A from every gate, B from the gates A left `Φ` on some lane (a
+/// definite lane cannot move under B).  Each lane is its own monotone
+/// fixpoint, so the result is the sweeps' lane by lane.
+fn settle_planes(ckt: &Circuit, st: &mut PlaneState, inj: &ParallelInjection) {
+    let update = |g: GateId, st: &mut PlaneState, lub: bool| {
+        let out = ckt.gate_output(g);
+        let cur = st.planes[out.index()];
+        let eval = eval_gate_planes(ckt, g, st, inj);
+        let next = if lub { cur.lub(eval) } else { eval };
+        st.planes[out.index()] = next;
+        (next != cur).then_some(out)
+    };
+    let mut wl = Worklist::default();
+    let all = (0..ckt.num_gates()).map(|i| GateId(i as u32));
+    wl.seed(ckt, None, all.clone());
+    wl.run(ckt, |g| update(g, st, true), |_| false);
+    let unknown = |g: &GateId| {
+        let p = st.planes[ckt.gate_output(*g).index()];
+        p.lo & p.hi != 0
+    };
+    wl.seed(ckt, None, all.filter(unknown));
+    wl.run(ckt, |g| update(g, st, false), |_| false);
 }
 
 /// Applies `pattern` to every lane's environment pins and runs algorithms
@@ -322,8 +325,7 @@ pub fn parallel_settle(
     for i in 0..ckt.num_inputs() {
         st.planes[i] = Planes::from_bool(pattern.get(i));
     }
-    fixpoint_planes(ckt, &mut st, inj, true);
-    fixpoint_planes(ckt, &mut st, inj, false);
+    settle_planes(ckt, &mut st, inj);
     st
 }
 
@@ -359,8 +361,7 @@ pub fn parallel_settle_patterns(
             hi: ones,
         };
     }
-    fixpoint_planes(ckt, &mut st, inj, true);
-    fixpoint_planes(ckt, &mut st, inj, false);
+    settle_planes(ckt, &mut st, inj);
     st
 }
 

@@ -6,8 +6,10 @@
 //! call sites), each with its own cap accounting and truncation
 //! behavior.  [`Settler`] consolidates them behind one engine that owns:
 //!
-//! * **frontier expansion with hashed dedup** — the per-depth state set
-//!   of every interleaving, stable states self-looping;
+//! * **event-driven frontier expansion** — the per-depth state set of
+//!   every interleaving, stable states self-looping, each state carrying
+//!   its excited gates so a firing re-evaluates only the fired gate and
+//!   its fanout;
 //! * **partial-order reduction** (POR) — a persistent-singleton rule:
 //!   when an excited gate provably commutes with everything that could
 //!   fire before it, only *its* interleaving is explored, collapsing the
@@ -17,18 +19,17 @@
 //! * **adaptive caps** ([`CapPolicy`]) — the tracked-set bound derived
 //!   from circuit size instead of a fixed constant, with a distinct
 //!   [`Settle::Truncated`] verdict (and [`SetSettle::Truncated`]) in
-//!   place of the old ambiguous `None`;
-//! * **optional intra-settle parallelism** — wide frontiers split across
-//!   scoped threads with a deterministic merge.
+//!   place of the old ambiguous `None`.
 //!
 //! The legacy [`crate::settle_explicit`] / [`crate::settle_set`] entry
 //! points remain as thin adapters over this engine (POR off, fixed cap),
 //! preserving their exact historical semantics.
 
 use crate::inject::{is_excited_inj, Injection};
-use crate::ternary::{eval_gate_ternary, ternary_settle, TernaryOutcome, Trit, TritVec};
-use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern};
-use std::collections::BTreeSet;
+use crate::ternary::{update, TernaryOutcome, Trit, TritVec, Worklist};
+use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern, Pattern};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the cap on the tracked interleaving set is chosen.
 ///
@@ -158,26 +159,17 @@ pub struct SettlerConfig {
     /// Skip the exhaustive exploration when scalar ternary simulation
     /// already proves confluence.
     pub ternary_fast_path: bool,
-    /// Intra-settle parallelism: frontiers wider than an internal
-    /// threshold are expanded across this many scoped threads.  `0` or
-    /// `1` keeps the walk serial.  The result is identical for any
-    /// thread count (the merge is a set union), and so are the
-    /// [`SettleStats`] — except on a step that truncates, where the
-    /// serial walk stops counting at the first over-cap insert while
-    /// the chunked walk finishes counting every chunk.
-    pub threads: usize,
 }
 
 impl SettlerConfig {
     /// Defaults for a circuit: `k = 4·gates + 4`, the scaled cap policy,
-    /// POR on, fast path on, serial.
+    /// POR on, fast path on.
     pub fn for_circuit(ckt: &Circuit) -> Self {
         SettlerConfig {
             k: 4 * ckt.num_gates() + 4,
             cap: CapPolicy::default_scaled(),
             por: true,
             ternary_fast_path: true,
-            threads: 1,
         }
     }
 }
@@ -231,25 +223,17 @@ impl SettleStats {
     }
 }
 
-/// Frontiers narrower than this are expanded serially even when
-/// [`SettlerConfig::threads`] asks for parallelism (thread spawn costs
-/// more than the expansion).
-const PAR_MIN_FRONTIER: usize = 64;
-
-/// Result of one frontier step.
-enum Step {
-    /// The next frontier and whether any expanded state was unstable.
-    Next(BTreeSet<Bits>, bool),
-    /// The frontier blew the cap.
-    Truncated,
-}
+/// A frontier: every tracked state with its excited gates in id order
+/// (empty for a stable state).  The gate list is a function of the state,
+/// carried so that expanding a state never rescans the circuit.
+type Frontier = BTreeMap<Bits, Vec<GateId>>;
 
 /// Result of the bounded (depth-`k`) phase.
 enum Bounded {
     /// Every interleaving stabilized: the frontier is the settled set.
-    Settled(BTreeSet<Bits>),
+    Settled(Frontier),
     /// Depth `k` was reached with switching still in flight.
-    Unsettled(BTreeSet<Bits>),
+    Unsettled(Frontier),
     /// A tracked set blew the cap.
     Truncated,
 }
@@ -264,14 +248,12 @@ pub struct Settler<'c> {
     cap: usize,
     por: bool,
     fast_path: bool,
-    threads: usize,
-    /// Per gate: the signals its evaluation reads under the injection
-    /// (forced pins removed; the gate's own output added for state-holding
-    /// kinds).  The commutation support of the POR rule.
-    deps: Vec<Vec<usize>>,
-    /// Per signal: the gates whose evaluation reads it (inverse of
-    /// `deps`).
-    readers: Vec<Vec<GateId>>,
+    /// Per gate `g`: the signals the POR rule requires to stay definite
+    /// while `g` is frozen — `g`'s support (see [`Settler::deps_of`]),
+    /// then the outputs of the other gates whose support holds `out(g)`.
+    watch: Vec<Vec<usize>>,
+    /// Buffers of the ternary fixpoints (fast path and POR checks).
+    worklist: Worklist,
     stats: SettleStats,
 }
 
@@ -279,25 +261,26 @@ impl<'c> Settler<'c> {
     /// Builds a settler for `ckt` under `inj`.
     pub fn new(ckt: &'c Circuit, inj: &Injection, cfg: &SettlerConfig) -> Self {
         let ng = ckt.num_gates();
-        // The dependency tables only feed the ample-singleton check, so
+        // The watch lists only feed the ample-singleton check, so
         // naive-mode settlers (including every legacy adapter call)
         // skip building them.
-        let (deps, readers) = if cfg.por {
-            let mut deps: Vec<Vec<usize>> = Vec::with_capacity(ng);
-            for i in 0..ng {
-                let g = GateId(i as u32);
-                deps.push(Self::deps_of(ckt, g, inj));
-            }
-            let mut readers: Vec<Vec<GateId>> = vec![Vec::new(); ckt.num_state_bits()];
-            for (i, d) in deps.iter().enumerate() {
-                for &s in d {
-                    readers[s].push(GateId(i as u32));
+        let mut watch: Vec<Vec<usize>> = Vec::new();
+        if cfg.por {
+            watch = (0..ng)
+                .map(|i| Self::deps_of(ckt, GateId(i as u32), inj))
+                .collect();
+            let mut readers: Vec<Vec<usize>> = vec![Vec::new(); ckt.num_state_bits()];
+            for (h, deps) in watch.iter().enumerate() {
+                for &d in deps {
+                    readers[d].push(h);
                 }
             }
-            (deps, readers)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+            for (g, w) in watch.iter_mut().enumerate() {
+                let out = ckt.gate_output(GateId(g as u32)).index();
+                let others = readers[out].iter().filter(|&&h| h != g);
+                w.extend(others.map(|&h| ckt.gate_output(GateId(h as u32)).index()));
+            }
+        }
         Settler {
             ckt,
             inj: inj.clone(),
@@ -305,9 +288,8 @@ impl<'c> Settler<'c> {
             cap: cfg.cap.resolve(ng),
             por: cfg.por,
             fast_path: cfg.ternary_fast_path,
-            threads: cfg.threads.max(1),
-            deps,
-            readers,
+            watch,
+            worklist: Worklist::default(),
             stats: SettleStats::default(),
         }
     }
@@ -364,31 +346,31 @@ impl<'c> Settler<'c> {
         let pattern = pattern.into_pattern(self.ckt.num_inputs());
         self.stats.settles += 1;
         if self.fast_path {
-            if let TernaryOutcome::Definite(b) = ternary_settle(self.ckt, from, &pattern, &self.inj)
-            {
+            if let Some(b) = self.ternary_definite(from, &pattern) {
                 return Settle::Confluent(b);
             }
         }
-        let start = self.ckt.with_inputs(from, &pattern);
+        let start = self.start([self.ckt.with_inputs(from, &pattern)]);
         let por = self.por;
         // Only the exhaustive analyses get spans: fast-path hits are
         // cheap ternary sims that would drown a trace in noise.
         let _span = satpg_trace::span!("settle", k = self.k, por = self.por as u8);
-        match self.bounded_walk(BTreeSet::from([start]), por) {
+        match self.bounded_walk(start, por) {
             Bounded::Truncated => {
                 self.stats.truncated += 1;
                 Settle::Truncated
             }
             Bounded::Settled(frontier) | Bounded::Unsettled(frontier) => {
-                let (stable, unstable): (Vec<Bits>, Vec<Bits>) =
-                    frontier.into_iter().partition(|s| {
-                        (0..self.ckt.num_gates())
-                            .all(|i| !is_excited_inj(self.ckt, GateId(i as u32), s, &self.inj))
-                    });
+                let (mut stable, mut unstable) = (Vec::new(), Vec::new());
+                for (s, excited) in frontier {
+                    match excited.is_empty() {
+                        true => stable.push(s),
+                        false => unstable.push(s),
+                    }
+                }
                 if !unstable.is_empty() {
-                    let mut all = stable;
-                    all.extend(unstable);
-                    return Settle::Unstable(all);
+                    stable.append(&mut unstable);
+                    return Settle::Unstable(stable);
                 }
                 match stable.len() {
                     1 => Settle::Confluent(stable.into_iter().next().expect("len checked")),
@@ -416,18 +398,14 @@ impl<'c> Settler<'c> {
         // under injection: definite means every interleaving agrees).
         if self.fast_path && from.len() == 1 {
             let only = from.iter().next().expect("len checked");
-            if let TernaryOutcome::Definite(b) = ternary_settle(self.ckt, only, &pattern, &self.inj)
-            {
+            if let Some(b) = self.ternary_definite(only, &pattern) {
                 return SetSettle::Set(BTreeSet::from([b]));
             }
         }
-        let start: BTreeSet<Bits> = from
-            .iter()
-            .map(|s| self.ckt.with_inputs(s, &pattern))
-            .collect();
+        let start = self.start(from.iter().map(|s| self.ckt.with_inputs(s, &pattern)));
         if self.por {
             match self.bounded_walk(start.clone(), true) {
-                Bounded::Settled(set) => return SetSettle::Set(set),
+                Bounded::Settled(set) => return SetSettle::Set(set.into_keys().collect()),
                 // The reduced frontier is a subset of the naive one at
                 // every depth, so a reduced truncation implies a naive
                 // truncation: no fallback can rescue it.
@@ -439,7 +417,7 @@ impl<'c> Settler<'c> {
             }
         }
         match self.bounded_walk(start, false) {
-            Bounded::Settled(set) => SetSettle::Set(set),
+            Bounded::Settled(set) => SetSettle::Set(set.into_keys().collect()),
             Bounded::Truncated => {
                 self.stats.truncated += 1;
                 SetSettle::Truncated
@@ -448,19 +426,42 @@ impl<'c> Settler<'c> {
         }
     }
 
+    /// The fast path: the state scalar ternary simulation proves every
+    /// interleaving settles to, if it proves one.
+    fn ternary_definite(&mut self, from: &Bits, pattern: &Pattern) -> Option<Bits> {
+        let start = TritVec::from_bits(from);
+        match self.worklist.settle(self.ckt, start, pattern, &self.inj) {
+            TernaryOutcome::Definite(b) => Some(b),
+            TernaryOutcome::Uncertain(_) => None,
+        }
+    }
+
+    /// The start frontier: each state with its excited gates, the one
+    /// full excitation scan of an analysis.
+    fn start(&self, states: impl IntoIterator<Item = Bits>) -> Frontier {
+        states
+            .into_iter()
+            .map(|s| {
+                let excited = (0..self.ckt.num_gates())
+                    .map(|i| GateId(i as u32))
+                    .filter(|&g| is_excited_inj(self.ckt, g, &s, &self.inj))
+                    .collect();
+                (s, excited)
+            })
+            .collect()
+    }
+
     /// The depth-`k` frontier walk shared by both analyses.
-    fn bounded_walk(&mut self, start: BTreeSet<Bits>, por: bool) -> Bounded {
+    fn bounded_walk(&mut self, start: Frontier, por: bool) -> Bounded {
         let mut frontier = start;
         // Input application was step 1; k-1 gate steps remain.
         for _ in 1..self.k.max(1) {
-            match self.step(&frontier, por) {
-                Step::Truncated => return Bounded::Truncated,
-                Step::Next(next, any_unstable) => {
-                    frontier = next;
-                    if !any_unstable {
-                        return Bounded::Settled(frontier);
-                    }
-                }
+            let Some((next, any_unstable)) = self.step(&frontier, por) else {
+                return Bounded::Truncated;
+            };
+            frontier = next;
+            if !any_unstable {
+                return Bounded::Settled(frontier);
             }
         }
         Bounded::Unsettled(frontier)
@@ -469,22 +470,18 @@ impl<'c> Settler<'c> {
     /// Oscillation closure (naive only): union further frontiers until
     /// nothing new appears — once a step adds no states, no later step
     /// can (the step image of a subset of the union stays inside it).
-    fn closure(&mut self, mut frontier: BTreeSet<Bits>) -> SetSettle {
-        let mut union = frontier.clone();
+    fn closure(&mut self, mut frontier: Frontier) -> SetSettle {
+        let mut union: BTreeSet<Bits> = frontier.keys().cloned().collect();
         for _ in 0..4 * self.k + 4 {
-            let (next, any_unstable) = match self.step(&frontier, false) {
-                Step::Truncated => {
-                    self.stats.truncated += 1;
-                    return SetSettle::Truncated;
-                }
-                Step::Next(n, u) => (n, u),
-            };
             let before = union.len();
-            for s in next.iter() {
-                if !self.capped_insert(&mut union, s.clone()) {
-                    self.stats.truncated += 1;
-                    return SetSettle::Truncated;
-                }
+            let Some((next, any_unstable)) = self.step(&frontier, false) else {
+                self.stats.truncated += 1;
+                return SetSettle::Truncated;
+            };
+            union.extend(next.keys().cloned());
+            if union.len() > self.cap {
+                self.stats.truncated += 1;
+                return SetSettle::Truncated;
             }
             frontier = next;
             if !any_unstable || union.len() == before {
@@ -497,129 +494,78 @@ impl<'c> Settler<'c> {
         SetSettle::Truncated
     }
 
-    /// The single checked-insert path every tracked set goes through:
-    /// a set may hold exactly `cap` states; the insert that would make
-    /// it `cap + 1` reports truncation.  Returns `false` on truncation.
-    fn capped_insert(&self, set: &mut BTreeSet<Bits>, s: Bits) -> bool {
-        set.insert(s);
-        set.len() <= self.cap
-    }
-
     /// One synchronous frontier step: every stable state self-loops,
     /// every unstable state is replaced by its one-step successors
     /// (POR-reduced to the ample gate's successor where the rule fires).
-    fn step(&mut self, frontier: &BTreeSet<Bits>, por: bool) -> Step {
-        if self.threads > 1 && frontier.len() >= PAR_MIN_FRONTIER {
-            return self.step_parallel(frontier, por);
-        }
-        let mut next = BTreeSet::new();
+    /// Returns the next frontier and whether any expanded state was
+    /// unstable, or `None` when the frontier blew the cap.
+    ///
+    /// Every tracked set goes through the same cap check: a set may hold
+    /// exactly `cap` states; the expansion that makes it `cap + 1`
+    /// reports truncation.
+    fn step(&mut self, frontier: &Frontier, por: bool) -> Option<(Frontier, bool)> {
+        let mut next = Frontier::new();
         let mut any_unstable = false;
-        for s in frontier {
-            let (succs, unstable, stats) = self.expand(s, por);
+        for (s, excited) in frontier {
             self.stats.states_explored += 1;
-            self.stats.por_states += stats.0;
-            self.stats.por_pruned += stats.1;
-            any_unstable |= unstable;
-            for t in succs {
-                if !self.capped_insert(&mut next, t) {
-                    return Step::Truncated;
-                }
+            if excited.is_empty() {
+                next.insert(s.clone(), Vec::new());
+            } else {
+                any_unstable = true;
+                self.expand(s, excited, por, &mut next);
+            }
+            if next.len() > self.cap {
+                return None;
             }
         }
-        Step::Next(next, any_unstable)
+        Some((next, any_unstable))
     }
 
-    /// [`Settler::step`] with the frontier split across scoped threads.
-    /// Each chunk expands privately (its partial successor set bounded
-    /// by the same cap — a chunk's successors are a subset of the full
-    /// step's, so a chunk overflow is a step overflow); the merge is a
-    /// set union, so the result is independent of the chunking.
-    fn step_parallel(&mut self, frontier: &BTreeSet<Bits>, por: bool) -> Step {
-        /// One chunk's harvest: its successor set (`None` on chunk
-        /// truncation), unstable flag and stat deltas.
-        type ChunkResult = (Option<BTreeSet<Bits>>, bool, u64, u64, u64);
-        let states: Vec<&Bits> = frontier.iter().collect();
-        let chunk = states.len().div_ceil(self.threads);
-        let results: Vec<ChunkResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = states
-                .chunks(chunk)
-                .map(|part| {
-                    let me: &Settler = &*self;
-                    scope.spawn(move || {
-                        let mut set = BTreeSet::new();
-                        let mut any_unstable = false;
-                        let (mut explored, mut por_states, mut por_pruned) = (0u64, 0u64, 0u64);
-                        for s in part {
-                            let (succs, unstable, stats) = me.expand(s, por);
-                            explored += 1;
-                            por_states += stats.0;
-                            por_pruned += stats.1;
-                            any_unstable |= unstable;
-                            for t in succs {
-                                if !me.capped_insert(&mut set, t) {
-                                    return (None, any_unstable, explored, por_states, por_pruned);
-                                }
-                            }
-                        }
-                        (Some(set), any_unstable, explored, por_states, por_pruned)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("settle worker panicked"))
-                .collect()
-        });
-        let mut next = BTreeSet::new();
-        let mut any_unstable = false;
-        let mut truncated = false;
-        for (set, unstable, explored, por_states, por_pruned) in results {
-            self.stats.states_explored += explored;
-            self.stats.por_states += por_states;
-            self.stats.por_pruned += por_pruned;
-            any_unstable |= unstable;
-            match set {
-                None => truncated = true,
-                Some(part) => {
-                    if !truncated {
-                        for t in part {
-                            if !self.capped_insert(&mut next, t) {
-                                truncated = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if truncated {
-            Step::Truncated
+    /// Adds the successors of unstable state `s` to `next`: the ample
+    /// gate's alone where the POR rule finds one, else every excited
+    /// gate's.
+    fn expand(&mut self, s: &Bits, excited: &[GateId], por: bool, next: &mut Frontier) {
+        let ample = if por && excited.len() >= 2 {
+            self.ample(s, excited)
         } else {
-            Step::Next(next, any_unstable)
-        }
-    }
-
-    /// Expands one state: its successor list, whether it was unstable,
-    /// and `(por_states, por_pruned)` deltas.
-    fn expand(&self, s: &Bits, por: bool) -> (Vec<Bits>, bool, (u64, u64)) {
-        let excited: Vec<GateId> = (0..self.ckt.num_gates())
-            .map(|i| GateId(i as u32))
-            .filter(|&g| is_excited_inj(self.ckt, g, s, &self.inj))
-            .collect();
-        if excited.is_empty() {
-            return (vec![s.clone()], false, (0, 0));
-        }
-        let fire = |g: GateId| -> Bits {
+            None
+        };
+        let fired = match &ample {
+            Some(g) => {
+                self.stats.por_states += 1;
+                self.stats.por_pruned += (excited.len() - 1) as u64;
+                std::slice::from_ref(g)
+            }
+            None => excited,
+        };
+        for &g in fired {
             let mut t = s.clone();
             t.toggle(self.ckt.gate_output(g).index());
-            t
-        };
-        if por && excited.len() >= 2 {
-            if let Some(g) = self.ample(s, &excited) {
-                return (vec![fire(g)], true, (1, (excited.len() - 1) as u64));
+            if let Entry::Vacant(slot) = next.entry(t) {
+                let moved = self.refresh(slot.key(), excited, g);
+                slot.insert(moved);
             }
         }
-        (excited.into_iter().map(fire).collect(), true, (0, 0))
+    }
+
+    /// The excited gates of `t`, reached from a state with excited gates
+    /// `excited` by firing `g`.  Only `out(g)` changed, so only `g` and
+    /// the gates reading `out(g)` can change excitation; every other
+    /// gate keeps its status.
+    fn refresh(&self, t: &Bits, excited: &[GateId], g: GateId) -> Vec<GateId> {
+        let mut moved = excited.to_vec();
+        let out = self.ckt.gate_output(g);
+        for &h in std::iter::once(&g).chain(self.ckt.fanout(out)) {
+            let now = is_excited_inj(self.ckt, h, t, &self.inj);
+            match (moved.binary_search(&h), now) {
+                (Err(at), true) => moved.insert(at, h),
+                (Ok(at), false) => {
+                    moved.remove(at);
+                }
+                _ => {}
+            }
+        }
+        moved
     }
 
     /// Persistent-singleton selection: the first excited gate (in id
@@ -640,54 +586,25 @@ impl<'c> Settler<'c> {
     /// interleaving permutes to one firing `g` first, preserving run
     /// lengths and the reachable settled states exactly
     /// (`crates/sim/DESIGN.md`).
-    fn ample(&self, s: &Bits, excited: &[GateId]) -> Option<GateId> {
-        'candidate: for &g in excited {
-            let mut tv = TritVec::from_bits(s);
-            self.frozen_reach(&mut tv, g);
-            // (1) The support of g stays definite (lub only moves values
-            // to X, so definite means unchanged in every avoided run).
-            for &d in &self.deps[g.index()] {
-                if tv.0[d] == Trit::X {
-                    continue 'candidate;
-                }
+    ///
+    /// The fixpoint is algorithm A with `g`'s output pinned, seeded by
+    /// the other excited gates: from a binary state nothing else can
+    /// move first, so it only ever visits their fanout cone.  Values only
+    /// rise to `Φ`, so it stops at the first watched signal that does.
+    fn ample(&mut self, s: &Bits, excited: &[GateId]) -> Option<GateId> {
+        let mut tv = TritVec::from_bits(s);
+        let wl = &mut self.worklist;
+        excited.iter().copied().find(|&g| {
+            let watch = &self.watch[g.index()];
+            wl.seed(self.ckt, Some(g), excited.iter().copied());
+            let step = |h| update(self.ckt, h, &mut tv, &self.inj, true);
+            let stopped = wl.run(self.ckt, step, |sig| watch.contains(&sig));
+            // Back to `s` for the next candidate.
+            for &i in &wl.changed {
+                tv.0[i] = Trit::from_bool(s.get(i));
             }
-            // (2) Nothing that reads out(g) can fire before g does.
-            for &h in &self.readers[self.ckt.gate_output(g).index()] {
-                if h != g && tv.0[self.ckt.gate_output(h).index()] == Trit::X {
-                    continue 'candidate;
-                }
-            }
-            return Some(g);
-        }
-        None
-    }
-
-    /// Algorithm A (monotone lub fixpoint) with `frozen`'s output pinned
-    /// at its current value: the X positions over-approximate every
-    /// signal that can differ from `s` in any run that never fires
-    /// `frozen`.
-    fn frozen_reach(&self, state: &mut TritVec, frozen: GateId) {
-        let bound = 2 * self.ckt.num_state_bits() + 2;
-        for _ in 0..bound {
-            let mut changed = false;
-            for i in 0..self.ckt.num_gates() {
-                let g = GateId(i as u32);
-                if g == frozen {
-                    continue;
-                }
-                let out_idx = self.ckt.gate_output(g).index();
-                let cur = state.0[out_idx];
-                let next = cur.lub(eval_gate_ternary(self.ckt, g, state, &self.inj));
-                if next != cur {
-                    state.0[out_idx] = next;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return;
-            }
-        }
-        unreachable!("frozen ternary fixpoint did not converge");
+            !stopped
+        })
     }
 }
 
@@ -873,43 +790,6 @@ mod tests {
             por.stats(),
             naive.stats()
         );
-    }
-
-    /// Intra-settle parallelism is invisible in the result.
-    #[test]
-    fn parallel_step_is_deterministic() {
-        for ckt in [
-            satpg_netlist::families::muller_pipeline(6),
-            library::figure1a(),
-            library::c_element(),
-        ] {
-            let inj = Injection::none();
-            let serial_cfg = naive_cfg(&ckt);
-            let par_cfg = SettlerConfig {
-                threads: 3,
-                ..serial_cfg
-            };
-            let mut serial = Settler::new(&ckt, &inj, &serial_cfg);
-            let mut par = Settler::new(&ckt, &inj, &par_cfg);
-            for pattern in Pattern::all(ckt.num_inputs()) {
-                assert_eq!(
-                    serial.settle(ckt.initial_state(), &pattern),
-                    par.settle(ckt.initial_state(), &pattern),
-                    "{} pattern {pattern}",
-                    ckt.name()
-                );
-            }
-            // Counter identity holds because none of these walks
-            // truncate; a truncating parallel step may legitimately
-            // count more expansions than the serial early-exit (see
-            // `SettlerConfig::threads`).
-            assert_eq!(
-                serial.stats(),
-                par.stats(),
-                "{}: chunking must not change the counters",
-                ckt.name()
-            );
-        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! (Brzozowski & Seger, *Asynchronous Circuits*, 1995).
 
 use crate::inject::Injection;
-use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern};
+use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern, Pattern, SignalId};
+use std::collections::VecDeque;
 
 /// A three-valued signal level.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -174,43 +175,118 @@ pub fn eval_gate_ternary(ckt: &Circuit, g: GateId, state: &TritVec, inj: &Inject
     }
 }
 
-fn fixpoint(
-    ckt: &Circuit,
-    state: &mut TritVec,
-    inj: &Injection,
-    mut update: impl FnMut(Trit, Trit) -> Trit,
-) {
-    // Both algorithms are monotone in their respective orders, so the
-    // number of sweeps is bounded by the number of state bits + 1.
-    let bound = 2 * ckt.num_state_bits() + 2;
-    for _ in 0..bound {
-        let mut changed = false;
-        for i in 0..ckt.num_gates() {
-            let g = GateId(i as u32);
-            let out_idx = ckt.gate_output(g).index();
-            let cur = state.0[out_idx];
-            let eval = eval_gate_ternary(ckt, g, state, inj);
-            let next = update(cur, eval);
-            if next != cur {
-                state.0[out_idx] = next;
-                changed = true;
-            }
+/// The event queue of every ternary fixpoint, scalar and 64-lane:
+/// [`Worklist::seed`] queues the gates that can move, and
+/// [`Worklist::run`] updates queued gates first in, first out, queueing
+/// the readers of every signal that changes.  Both of Eichelberger's
+/// updates are monotone on a finite lattice and each output (each lane
+/// of one) changes at most once, so a fixpoint ends after `O(fanout)`
+/// updates, and any fair order — this queue or a sweep in gate order —
+/// reaches the same fixpoint (`crates/sim/DESIGN.md`).  The buffers are
+/// reused from run to run.
+#[derive(Default)]
+pub(crate) struct Worklist {
+    /// Set while the gate waits in `work`; the frozen gate stays set.
+    queued: Vec<bool>,
+    work: VecDeque<GateId>,
+    /// The signals the current fixpoint changed.
+    pub(crate) changed: Vec<usize>,
+}
+
+impl Worklist {
+    /// Starts a fixpoint: queues `gates`, except `frozen`, which is
+    /// never updated.
+    pub(crate) fn seed(
+        &mut self,
+        ckt: &Circuit,
+        frozen: Option<GateId>,
+        gates: impl IntoIterator<Item = GateId>,
+    ) {
+        self.queued.clear();
+        self.queued.resize(ckt.num_gates(), false);
+        if let Some(f) = frozen {
+            self.queued[f.index()] = true;
         }
-        if !changed {
-            return;
+        self.work.clear();
+        self.changed.clear();
+        for g in gates {
+            self.push(g);
         }
     }
-    unreachable!("ternary fixpoint did not converge within bound");
+
+    fn push(&mut self, g: GateId) {
+        if !std::mem::replace(&mut self.queued[g.index()], true) {
+            self.work.push_back(g);
+        }
+    }
+
+    /// Updates queued gates until none is left: `update(g)` returns
+    /// `g`'s output signal if its value changed.  Gives up as soon as a
+    /// changed signal's index satisfies `stop`, and reports whether it
+    /// did.
+    pub(crate) fn run(
+        &mut self,
+        ckt: &Circuit,
+        mut update: impl FnMut(GateId) -> Option<SignalId>,
+        stop: impl Fn(usize) -> bool,
+    ) -> bool {
+        while let Some(g) = self.work.pop_front() {
+            self.queued[g.index()] = false;
+            if let Some(out) = update(g) {
+                self.changed.push(out.index());
+                if stop(out.index()) {
+                    return true;
+                }
+                for &h in ckt.fanout(out) {
+                    self.push(h);
+                }
+            }
+        }
+        false
+    }
+
+    /// Algorithms A and B on `state` with the inputs of `pattern`
+    /// applied: [`ternary_settle_from`] on this worklist.
+    pub(crate) fn settle(
+        &mut self,
+        ckt: &Circuit,
+        mut state: TritVec,
+        pattern: &Pattern,
+        inj: &Injection,
+    ) -> TernaryOutcome {
+        for i in 0..ckt.num_inputs() {
+            state.0[i] = Trit::from_bool(pattern.get(i));
+        }
+        let all = (0..ckt.num_gates()).map(|i| GateId(i as u32));
+        self.seed(ckt, None, all.clone());
+        self.run(ckt, |g| update(ckt, g, &mut state, inj, true), |_| false);
+        // At an A fixpoint every definite output already equals its
+        // evaluation, so only the `Φ` outputs can move under B.
+        let unknown = |g: &GateId| state.0[ckt.gate_output(*g).index()] == Trit::X;
+        self.seed(ckt, None, all.filter(unknown));
+        self.run(ckt, |g| update(ckt, g, &mut state, inj, false), |_| false);
+        match state.to_bits() {
+            Some(b) => TernaryOutcome::Definite(b),
+            None => TernaryOutcome::Uncertain(state),
+        }
+    }
 }
 
-/// Algorithm A: raise each gate to `lub(current, eval)` until fixpoint.
-pub fn algorithm_a(ckt: &Circuit, state: &mut TritVec, inj: &Injection) {
-    fixpoint(ckt, state, inj, |cur, eval| cur.lub(eval));
-}
-
-/// Algorithm B: set each gate to its evaluation until fixpoint.
-pub fn algorithm_b(ckt: &Circuit, state: &mut TritVec, inj: &Injection) {
-    fixpoint(ckt, state, inj, |_cur, eval| eval);
+/// Updates gate `g`'s output in `state` to `cur ⊔ eval` (algorithm A,
+/// `lub`) or to `eval` (algorithm B); returns the output if it changed.
+pub(crate) fn update(
+    ckt: &Circuit,
+    g: GateId,
+    state: &mut TritVec,
+    inj: &Injection,
+    lub: bool,
+) -> Option<SignalId> {
+    let out = ckt.gate_output(g);
+    let cur = state.0[out.index()];
+    let eval = eval_gate_ternary(ckt, g, state, inj);
+    let next = if lub { cur.lub(eval) } else { eval };
+    state.0[out.index()] = next;
+    (next != cur).then_some(out)
 }
 
 /// Applies input pattern `pattern` to the (binary) stable state `from`
@@ -233,16 +309,7 @@ pub fn ternary_settle_from(
     inj: &Injection,
 ) -> TernaryOutcome {
     let pattern = pattern.into_pattern(ckt.num_inputs());
-    let mut s = from.clone();
-    for i in 0..ckt.num_inputs() {
-        s.0[i] = Trit::from_bool(pattern.get(i));
-    }
-    algorithm_a(ckt, &mut s, inj);
-    algorithm_b(ckt, &mut s, inj);
-    match s.to_bits() {
-        Some(b) => TernaryOutcome::Definite(b),
-        None => TernaryOutcome::Uncertain(s),
-    }
+    Worklist::default().settle(ckt, from.clone(), &pattern, inj)
 }
 
 #[cfg(test)]

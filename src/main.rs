@@ -51,10 +51,10 @@ fn usage() -> ExitCode {
            list\n  \
            synth  <circuit>\n  \
            cssg   <circuit> [--k N] [--cssg-shards N] [--no-por]\n          \
-                  [--settle-cap N] [--settle-threads N]\n  \
+                  [--settle-cap N]\n  \
            atpg   <circuit> [--output-model] [--collapse] [--no-random]\n          \
                   [--pp-random] [--pattern-budget N] [--program] [--json] [--cssg-shards N]\n          \
-                  [--no-por] [--settle-cap N] [--settle-threads N]\n  \
+                  [--no-por] [--settle-cap N]\n  \
            scan   <circuit>\n  \
            table  <1|2>\n  \
            dot    <circuit>\n  \
@@ -66,8 +66,7 @@ fn usage() -> ExitCode {
                   [--gc-threshold N]  # sweep worker BDDs above N live nodes\n          \
                   [--cssg-shards N]   # parallel CSSG build (0 = worker count)\n          \
                   [--no-por]          # naive interleaving walks (no reduction)\n          \
-                  [--settle-cap N]    # fixed interleaving-set cap (default: scaled)\n          \
-                  [--settle-threads N]# threads per settle; multiplies --cssg-shards\n  \
+                  [--settle-cap N]    # fixed interleaving-set cap (default: scaled)\n  \
            serve  [--addr HOST:PORT|unix:PATH] [--serve-workers N] [--queue-depth N]\n          \
                   [--cache-size N] [--workers N] [--gc-threshold N]\n          \
                   [--peers A,B,..]    # coordinator mode: partition jobs across peers\n          \
@@ -115,7 +114,6 @@ struct Opts {
     cssg_shards: usize,
     no_por: bool,
     settle_cap: Option<usize>,
-    settle_threads: usize,
     json: bool,
     /// Daemon, fleet and `--trace-out` settings.
     serve: ServeConfig,
@@ -141,7 +139,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         cssg_shards: 0,
         no_por: false,
         settle_cap: None,
-        settle_threads: 1,
         json: false,
         serve: ServeConfig {
             addr: DEFAULT_ADDR.into(),
@@ -168,7 +165,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--cssg-shards" => o.cssg_shards = it.next()?.parse().ok()?,
             "--no-por" => o.no_por = true,
             "--settle-cap" => o.settle_cap = Some(it.next()?.parse().ok()?),
-            "--settle-threads" => o.settle_threads = it.next()?.parse().ok()?,
             "--json" => o.json = true,
             "--family" => o.family = Some(it.next()?.clone()),
             "--addr" => s.addr = it.next()?.clone(),
@@ -249,10 +245,9 @@ fn job_spec(o: &Opts) -> Result<JobSpec, String> {
 }
 
 /// The job's flow configuration with the local-only settle flags
-/// (`--no-por`, `--settle-cap`, `--settle-threads`) applied on top.
+/// (`--no-por`, `--settle-cap`) applied on top.
 fn flow_config(o: &Opts, spec: &JobSpec, ckt: &Circuit) -> AtpgConfig {
     let mut cfg = job_atpg_config(spec, ckt);
-    cfg.cssg.settle_threads = o.settle_threads;
     if o.no_por {
         cfg.cssg.por = false;
         cfg.three_phase.por = false;

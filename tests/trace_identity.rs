@@ -3,11 +3,14 @@
 //! across the whole benchmark suite and every worker count.  This pins
 //! the determinism boundary documented in `crates/trace/DESIGN.md` —
 //! spans and metrics observe the run, they never feed back into it.
+//! The traced runs must also show one closed `three_phase` span, with
+//! its node count and verdict, per fault search.
 
 use satpg::engine::{reports_identical, run_engine, EngineConfig};
 use satpg::prelude::*;
 use satpg::stg::synth::complex_gate;
 use satpg::stg::{suite, StateGraph};
+use satpg::trace::{ArgValue, EventKind};
 
 fn si_circuit(name: &str) -> Circuit {
     let stg = suite::load(name).unwrap();
@@ -32,6 +35,7 @@ fn cfg(workers: usize) -> EngineConfig {
 /// byte-identical: all 23 suite benchmarks, workers 1..=4.
 #[test]
 fn tracing_does_not_perturb_engine_reports() {
+    let mut searches = 0;
     for &name in suite::NAMES {
         let ckt = si_circuit(name);
         for workers in 1..=4 {
@@ -48,6 +52,26 @@ fn tracing_does_not_perturb_engine_reports() {
                 !events.is_empty(),
                 "{name} w{workers}: the traced run must record spans"
             );
+            let closed: Vec<_> = events
+                .iter()
+                .filter(|e| e.name == "three_phase" && e.kind == EventKind::End)
+                .collect();
+            let searched: usize = on.workers.iter().map(|w| w.searched).sum();
+            assert_eq!(
+                closed.len(),
+                searched + on.merge_fallbacks,
+                "{name} w{workers}: one three_phase span per fault search"
+            );
+            for e in &closed {
+                let keys: Vec<&str> = e.args.iter().map(|a| a.0).collect();
+                assert_eq!(keys, ["nodes", "verdict"], "{name} w{workers}");
+                assert!(
+                    matches!(&e.args[1].1, ArgValue::Str(v) if ["detected", "untestable", "aborted"].contains(&v.as_str())),
+                    "{name} w{workers}: {:?}",
+                    e.args
+                );
+            }
+            searches += closed.len();
             assert!(
                 reports_identical(&off.report, &on.report),
                 "{name} w{workers}: verdicts must not depend on tracing"
@@ -63,4 +87,5 @@ fn tracing_does_not_perturb_engine_reports() {
             );
         }
     }
+    assert!(searches > 0, "the suite must reach the three-phase search");
 }
